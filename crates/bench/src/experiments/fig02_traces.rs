@@ -17,6 +17,8 @@ pub struct TraceFigures {
     pub traces: Table,
     /// Per-node §3.2 statistics.
     pub stats: Table,
+    /// Every generated trace, unnormalized (persisted as CSV).
+    pub set: TraceSet,
 }
 
 /// Runs the experiment.
@@ -88,6 +90,7 @@ pub fn run(scale: Scale) -> TraceFigures {
     TraceFigures {
         traces,
         stats: stat_table,
+        set,
     }
 }
 

@@ -91,6 +91,13 @@ pub fn registry() -> Vec<ExperimentDef> {
                 let out = fig02_traces::run(s);
                 emit(&out.traces, "fig02_traces.csv");
                 emit(&out.stats, "fig02_stats.csv");
+                // The full trace set, one column per node, for replay
+                // (`s2c2_trace::csv::load`) or re-plotting.
+                let path = std::path::PathBuf::from("results").join("fig02_trace_set.csv");
+                match s2c2_trace::csv::save(&path, &out.set) {
+                    Ok(()) => println!("[written {}]\n", path.display()),
+                    Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+                }
             },
         },
         ExperimentDef {

@@ -301,6 +301,48 @@ mod tests {
         }
     }
 
+    /// 64-bit FNV-1a, enough to pin an exported artifact's bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn quick_depth_two_export_pinned_across_commits() {
+        // Cross-commit byte-identity pin of the quick `pipeline_events.jsonl`
+        // export and the report counters it does not carry: an engine
+        // refactor must leave every one of these bits unchanged.
+        let r = run_depth(
+            Scale::Quick.pick(10, 28),
+            &CloudTraceConfig::volatile(),
+            2,
+            true,
+        );
+        let tel = r.telemetry.as_ref().expect("traced run");
+        let jsonl = export::jsonl(tel.trace.events());
+        let busy_bits: Vec<u8> = r
+            .busy_time
+            .iter()
+            .flat_map(|b| b.to_bits().to_le_bytes())
+            .collect();
+        let pinned = (
+            fnv1a(jsonl.as_bytes()),
+            r.recovery_rung_counts,
+            r.scratch_reuses,
+            fnv1a(&busy_bits),
+        );
+        assert_eq!(
+            pinned,
+            (
+                0x5754_87ED_6537_4092,
+                [96, 0, 8, 1, 0],
+                90,
+                0x2D87_9599_4F9F_3E07
+            )
+        );
+    }
+
     #[test]
     fn bench_json_is_well_formed() {
         let out = run(Scale::Quick);

@@ -193,12 +193,6 @@ impl JobMetrics {
             .map(RoundMetrics::total_wasted_rows)
             .sum()
     }
-
-    /// Total rebalancing traffic (bytes).
-    #[must_use]
-    pub fn total_rebalance_bytes(&self) -> u64 {
-        self.rounds.iter().map(|r| r.rebalance_bytes).sum()
-    }
 }
 
 #[cfg(test)]

@@ -115,12 +115,6 @@ impl ClusterSim {
     pub fn comm(&self) -> CommModel {
         self.comm
     }
-
-    /// Compute model.
-    #[must_use]
-    pub fn compute_model(&self) -> ComputeModel {
-        self.compute
-    }
 }
 
 impl std::fmt::Debug for ClusterSim {

@@ -147,17 +147,6 @@ impl ClusterSpecBuilder {
         self
     }
 
-    /// Installs an explicit speed model for one worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker >= n`.
-    #[must_use]
-    pub fn worker_model(mut self, worker: usize, model: BoxedSpeedModel) -> Self {
-        self.models[worker] = Some(model);
-        self
-    }
-
     /// Controlled-cluster scenario (§7.1): workers in `ids` become
     /// persistent stragglers (`straggler_slowdown`× slower); non-straggler
     /// speeds spread *statically* across `[1 − jitter, 1]` (the paper's

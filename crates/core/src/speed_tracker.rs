@@ -122,18 +122,37 @@ impl SpeedTracker {
     }
 
     /// Feeds observed speeds (None = worker idle, nothing measured) and
-    /// refreshes the forecasts used next iteration.
+    /// refreshes the forecasts used next iteration. A non-finite or
+    /// non-positive observation is no measurement at all and is treated
+    /// as `None`: a single `inf` would otherwise become the scale and
+    /// turn every prediction to 0 or NaN.
     pub fn observe(&mut self, observed: &[Option<f64>]) {
         if let Some(bank) = &mut self.bank {
-            for v in observed.iter().flatten() {
-                self.obs_scale = self.obs_scale.max(*v);
+            let valid = |v: f64| v.is_finite() && v > 0.0;
+            let mut dropped = false;
+            for &v in observed.iter().flatten() {
+                if valid(v) {
+                    self.obs_scale = self.obs_scale.max(v);
+                } else {
+                    dropped = true;
+                }
             }
             let scale = if self.obs_scale > 0.0 {
                 self.obs_scale
             } else {
                 1.0
             };
-            let scaled: Vec<Option<f64>> = observed.iter().map(|o| o.map(|v| v / scale)).collect();
+            let mut scaled: Vec<Option<f64>> =
+                observed.iter().map(|o| o.map(|v| v / scale)).collect();
+            // Observations are almost always valid, so dropping the bad
+            // ones is a second pass taken only when there are any.
+            if dropped {
+                for (s, o) in scaled.iter_mut().zip(observed) {
+                    if o.is_some_and(|v| !valid(v)) {
+                        *s = None;
+                    }
+                }
+            }
             self.predictions = bank.observe_and_predict_masked(&scaled);
         }
     }
@@ -194,6 +213,21 @@ mod tests {
         let p = t.predictions(&sim);
         assert!((p[0] - 1.0).abs() < 1e-12);
         assert!((p[1] - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_and_non_positive_observations_are_dropped() {
+        // One `inf` must not become the scale: worker 0 keeps its cold
+        // prediction and worker 1 is measured against its own 0.5.
+        let mut t = SpeedTracker::new(&PredictorSource::LastValue, 2);
+        t.observe(&[Some(f64::INFINITY), Some(0.5)]);
+        let p = t.predictions_from(&[1.0; 2]);
+        assert!(p.iter().all(|v| v.is_finite()), "{p:?}");
+        assert!((p[1] - 1.0).abs() < 1e-12, "{p:?}");
+        t.observe(&[Some(f64::NAN), Some(0.0)]);
+        t.observe(&[Some(-1.0), None]);
+        let p = t.predictions_from(&[1.0; 2]);
+        assert!(p.iter().all(|v| v.is_finite() && *v > 0.0), "{p:?}");
     }
 
     #[test]

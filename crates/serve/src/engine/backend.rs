@@ -451,22 +451,6 @@ impl NumericCore {
     }
 }
 
-/// The response set the timing model credits for a completed iteration:
-/// every done worker's original chunks plus every done redo set — the
-/// exact coverage `RunningIteration::complete` certified.
-fn credited_coverage(iter: &RunningIteration) -> Vec<(usize, Vec<usize>, bool)> {
-    let mut cover = Vec::new();
-    for w in 0..iter.assignment.workers() {
-        if iter.done[w] && !iter.assignment.chunks[w].is_empty() {
-            cover.push((w, iter.assignment.chunks[w].clone(), false));
-        }
-        if iter.redo_done[w] && !iter.redo_chunks[w].is_empty() {
-            cover.push((w, iter.redo_chunks[w].clone(), true));
-        }
-    }
-    cover
-}
-
 // ---- SimVerified --------------------------------------------------------
 
 /// Master-side numerics: recompute the credited coverage sequentially at
@@ -514,9 +498,11 @@ impl ExecutionBackend for SimVerifiedBackend {
         let k = enc.encoded.params().k;
         let mut per_chunk: Vec<Vec<usize>> =
             vec![Vec::new(); enc.encoded.layout().chunks_per_partition];
-        for (w, chunks, _redo) in credited_coverage(iter) {
-            for &chunk in &chunks {
-                per_chunk[chunk].push(w);
+        for (w, _, _, chunks) in iter.done_results() {
+            for &chunk in chunks {
+                if let Some(ws) = per_chunk.get_mut(chunk) {
+                    ws.push(w);
+                }
             }
         }
         let t0 = Instant::now();
@@ -751,19 +737,16 @@ impl ExecutionBackend for ThreadedBackend {
         // Which physical tasks the timing model credits: originals of
         // done workers, every *live* redo task of workers whose merged
         // redo set is done. Cancelled tasks are never credited — the
-        // engine clears their chunks from the redo bookkeeping when it
-        // cancels (churned workers), so timing and execution agree.
+        // engine clears a cancelled redo's chunks from its record, so
+        // timing and execution agree.
+        let done: BTreeSet<(usize, bool)> = iter
+            .done_results()
+            .map(|(w, kind, _, _)| (w, kind.is_redo()))
+            .collect();
         let needed: Vec<&TaskInfo> = state
             .tasks
             .iter()
-            .filter(|t| {
-                !t.cancelled
-                    && if t.redo {
-                        iter.redo_done[t.worker]
-                    } else {
-                        iter.done[t.worker]
-                    }
-            })
+            .filter(|t| !t.cancelled && done.contains(&(t.worker, t.redo)))
             .collect();
         // Everything else is work nobody waited for: cancel it now (the
         // engine already refunded its timing charge).

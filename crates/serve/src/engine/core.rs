@@ -4,16 +4,23 @@
 //! admission queue ([`ServiceEngine::on_arrival`], with token-bucket
 //! rate limiting), admission fills a job's in-flight round window
 //! whose per-worker tasks are scheduled from the shared allocation
-//! ([`ServiceEngine::dispatch_round`]), task completions mark coverage
-//! and feed the speed predictor, and completed rounds decode (via the
-//! execution backend) strictly in round order — a round that finishes
-//! ahead of an earlier sibling parks until the window head retires
-//! ([`ServiceEngine::retire_ready_rounds`]). Timeout and churn events
+//! ([`ServiceEngine::dispatch_round`]), task completions mark their
+//! task done and feed the speed predictor, and completed rounds decode
+//! (via the execution backend) strictly in round order — a round that
+//! finishes ahead of an earlier sibling parks until the window head
+//! retires ([`ServiceEngine::retire_ready_rounds`]). Timeout and churn events
 //! are handed to [`super::recovery`]; share rescaling lives in
 //! [`super::rebalance`]; the window policy itself is
 //! [`super::pipeline::PipelinePolicy`].
+//!
+//! A round ([`RunningIteration`]) holds one [`WorkerTasks`] record per
+//! pool worker: an original and a redo [`Task`], each moving through
+//! [`TaskState`] `Idle → Running → Done | Cancelled`. Cancels go through
+//! [`RunningIteration::cancel`] only, and coverage is read only through
+//! [`RunningIteration::tasks`] (and its done-only filter,
+//! [`RunningIteration::done_results`]).
 
-use super::pipeline::{IterScratch, SCRATCH_POOL_CAP};
+use super::backend::ExecutionBackend;
 use super::{trace_into, ServeError, ServiceEngine};
 use crate::admission::{batch_key, BatchKey, BatchPolicy, QueuedJob, ResidentInfo};
 use crate::event::{EventKind, JobId};
@@ -21,45 +28,127 @@ use crate::metrics::JobRecord;
 use crate::shared_alloc::{allocate_for_resident, full_over_available};
 use crate::workload::JobSpec;
 use s2c2_core::{allocate_chunks_basic, ChunkAssignment};
-use s2c2_telemetry::TraceEventKind;
+use s2c2_telemetry::{Telemetry, TraceEventKind};
 
 use super::thread_speedup;
 use super::SchedulerMode;
 
-/// Refunds the not-yet-performed remainder of an abandoned task's compute
-/// charge: a task scheduled to finish at `finish` and abandoned at `now`
-/// still owes `(finish − now) · share` dedicated compute-seconds (capped
-/// at what was charged).
-pub(crate) fn refund_busy(
-    busy_time: &mut f64,
-    charged: &mut f64,
-    finish: f64,
-    now: f64,
-    share: f64,
-) {
-    let refund = ((finish - now) * share).clamp(0.0, *charged);
-    *busy_time -= refund;
-    *charged -= refund;
+/// Where one task stands in the §4.3 lifecycle: dispatched, then either
+/// completed or cancelled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum TaskState {
+    /// Never dispatched: a worker with no chunks this round, or no redo.
+    #[default]
+    Idle,
+    /// Dispatched, completion pending.
+    Running,
+    /// Completed: its chunks count toward the round's coverage.
+    Done,
+    /// Cancelled (late straggler, departed worker, or superfluous once
+    /// the round's coverage completed). Its chunks never count.
+    Cancelled,
 }
 
-/// Returns a retired round's per-worker vectors to the scratch pool for
-/// the next dispatch (see [`IterScratch`]). A full pool simply drops
-/// them.
-pub(crate) fn reclaim_scratch(pool: &mut Vec<IterScratch>, iter: RunningIteration) {
-    if pool.len() < SCRATCH_POOL_CAP {
-        pool.push(IterScratch {
-            finish: iter.finish,
-            done: iter.done,
-            valid: iter.valid,
-            redo_chunks: iter.redo_chunks,
-            redo_finish: iter.redo_finish,
-            redo_done: iter.redo_done,
-            redo_valid: iter.redo_valid,
-            busy_charged: iter.busy_charged,
-            redo_busy_charged: iter.redo_busy_charged,
-            ded_offset: iter.ded_offset,
-        });
+/// The two tasks a worker can hold in one round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TaskKind {
+    /// The worker's share of the round's assignment.
+    Original,
+    /// Chunks rung 3 handed to the worker after it finished.
+    Redo,
+}
+
+impl TaskKind {
+    /// Both kinds, original first: the order of every per-worker sweep
+    /// (and therefore of the events and trace records it emits).
+    pub(crate) const BOTH: [TaskKind; 2] = [TaskKind::Original, TaskKind::Redo];
+
+    pub(crate) fn is_redo(self) -> bool {
+        self == TaskKind::Redo
     }
+}
+
+/// One task's schedule and compute charge.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Task {
+    pub(crate) state: TaskState,
+    /// Scheduled finish time (`INFINITY` until dispatched).
+    pub(crate) finish: f64,
+    /// Dedicated compute-seconds charged to `busy_time` (refunded pro
+    /// rata when the task is cancelled).
+    pub(crate) busy_charged: f64,
+}
+
+impl Default for Task {
+    fn default() -> Self {
+        Task {
+            state: TaskState::Idle,
+            finish: f64::INFINITY,
+            busy_charged: 0.0,
+        }
+    }
+}
+
+impl Task {
+    pub(crate) fn running(&self) -> bool {
+        self.state == TaskState::Running
+    }
+
+    /// Refunds the not-yet-performed remainder of the compute charge of a
+    /// task abandoned at `now`: it still owed `(finish − now) · share`
+    /// dedicated compute-seconds (capped at what was charged). Returns
+    /// the refund for the worker's `busy_time`.
+    fn refund_busy(&mut self, now: f64, share: f64) -> f64 {
+        let refund = ((self.finish - now) * share).clamp(0.0, self.busy_charged);
+        self.busy_charged -= refund;
+        refund
+    }
+}
+
+/// One worker's part in a round: its original task and its redo task.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WorkerTasks {
+    pub(crate) original: Task,
+    pub(crate) redo: Task,
+    /// Chunks rung 3 reassigned to this worker. A second batch on a
+    /// still-running redo merges in: one task finishing after both.
+    pub(crate) redo_chunks: Vec<usize>,
+    /// Dedicated share-seconds between this round's dispatch and the
+    /// original task's actual start. A pipelined round queues behind the
+    /// job's earlier in-flight rounds on a shared worker, so speed
+    /// observations must subtract this offset from the share integral
+    /// or the queueing delay would be billed as slowness. Exactly 0 at
+    /// pipeline depth 1.
+    pub(crate) ded_offset: f64,
+}
+
+impl WorkerTasks {
+    pub(crate) fn task_mut(&mut self, kind: TaskKind) -> &mut Task {
+        match kind {
+            TaskKind::Original => &mut self.original,
+            TaskKind::Redo => &mut self.redo,
+        }
+    }
+
+    /// The latest scheduled finish among this worker's running tasks, or
+    /// `floor` if that is later.
+    pub(crate) fn running_until(&self, floor: f64) -> f64 {
+        [&self.original, &self.redo]
+            .into_iter()
+            .filter(|task| task.running())
+            .fold(floor, |acc, task| acc.max(task.finish))
+    }
+}
+
+/// The engine state a task cancel writes besides the round itself.
+/// Borrowed field by field, so it can sit beside a `&mut
+/// RunningIteration` taken out of the resident map.
+pub(crate) struct CancelSink<'a> {
+    pub(crate) job: JobId,
+    pub(crate) now: f64,
+    pub(crate) busy_time: &'a mut [f64],
+    pub(crate) backend: &'a mut dyn ExecutionBackend,
+    pub(crate) telemetry: &'a mut Option<Telemetry>,
 }
 
 /// One in-flight iteration round of a resident job (or batch of jobs).
@@ -81,27 +170,8 @@ pub(crate) struct RunningIteration {
     /// factorization does not — that is the decode amortization).
     pub(crate) rhs: usize,
     pub(crate) assignment: ChunkAssignment,
-    /// Scheduled finish time per worker (`INFINITY` = no task).
-    pub(crate) finish: Vec<f64>,
-    pub(crate) done: Vec<bool>,
-    /// `false` once a task is cancelled (deadline) or its worker churned.
-    pub(crate) valid: Vec<bool>,
-    pub(crate) redo_chunks: Vec<Vec<usize>>,
-    pub(crate) redo_finish: Vec<f64>,
-    pub(crate) redo_done: Vec<bool>,
-    pub(crate) redo_valid: Vec<bool>,
-    /// Dedicated compute-seconds charged to `busy_time` per original task
-    /// (refunded pro rata when a task is cancelled or abandoned).
-    pub(crate) busy_charged: Vec<f64>,
-    /// Same, for redo tasks.
-    pub(crate) redo_busy_charged: Vec<f64>,
-    /// Dedicated share-seconds between this round's dispatch and each
-    /// worker's actual task start. A pipelined round queues behind the
-    /// job's earlier in-flight rounds on a shared worker, so speed
-    /// observations must subtract this offset from the share integral
-    /// or the queueing delay would be billed as slowness. Exactly 0 for
-    /// every worker at pipeline depth 1.
-    pub(crate) ded_offset: Vec<f64>,
+    /// Per-worker task records, one per pool worker.
+    pub(crate) workers: Vec<WorkerTasks>,
     /// Set once this round's coverage completed and it is waiting for
     /// its earlier siblings to retire (in-order commit). The value is
     /// the completion instant; `None` while tasks are still in flight.
@@ -140,7 +210,10 @@ pub(crate) struct RunningIteration {
 
 impl RunningIteration {
     pub(crate) fn covers(&self, worker: usize, chunk: usize) -> bool {
-        self.assignment.chunks[worker].binary_search(&chunk).is_ok()
+        self.assignment
+            .chunks
+            .get(worker)
+            .is_some_and(|c| c.binary_search(&chunk).is_ok())
     }
 
     /// Dedicated share-seconds the iteration has accrued by instant `t`
@@ -149,34 +222,127 @@ impl RunningIteration {
         self.share_integral + (t - self.share_anchor).max(0.0) * self.share
     }
 
-    pub(crate) fn done_cover(&self, chunk: usize) -> usize {
-        let n = self.assignment.workers();
-        (0..n)
-            .filter(|&w| {
-                (self.done[w] && self.covers(w, chunk))
-                    || (self.redo_done[w] && self.redo_chunks[w].contains(&chunk))
+    /// The chunks a worker's `kind` task computes.
+    pub(crate) fn chunks_of(&self, worker: usize, kind: TaskKind) -> &[usize] {
+        match kind {
+            TaskKind::Original => self.assignment.chunks.get(worker),
+            TaskKind::Redo => self.workers.get(worker).map(|s| &s.redo_chunks),
+        }
+        .map_or(&[], Vec::as_slice)
+    }
+
+    /// Every task of the round with the chunks it covers, as `(worker,
+    /// kind, task, chunks)`, in worker order, original before redo. The
+    /// one view every coverage reader goes through.
+    pub(crate) fn tasks(&self) -> impl Iterator<Item = (usize, TaskKind, &Task, &[usize])> {
+        self.workers
+            .iter()
+            .zip(&self.assignment.chunks)
+            .enumerate()
+            .flat_map(|(w, (slot, original))| {
+                [
+                    (w, TaskKind::Original, &slot.original, original.as_slice()),
+                    (w, TaskKind::Redo, &slot.redo, slot.redo_chunks.as_slice()),
+                ]
             })
-            .count()
     }
 
-    pub(crate) fn pending_redo_cover(&self, chunk: usize) -> usize {
-        let n = self.assignment.workers();
-        (0..n)
-            .filter(|&w| {
-                self.redo_valid[w] && !self.redo_done[w] && self.redo_chunks[w].contains(&chunk)
-            })
-            .count()
+    /// The results that count toward coverage: completed tasks, in
+    /// worker order, original before redo. A worker's original and redo
+    /// chunks are disjoint (rung 3 never hands a worker a chunk it
+    /// holds), so each chunk a result covers is one distinct response.
+    pub(crate) fn done_results(&self) -> impl Iterator<Item = (usize, TaskKind, &Task, &[usize])> {
+        self.tasks()
+            .filter(|&(_, _, task, _)| task.state == TaskState::Done)
     }
 
-    pub(crate) fn inflight_original_cover(&self, chunk: usize) -> usize {
-        let n = self.assignment.workers();
-        (0..n)
-            .filter(|&w| self.valid[w] && !self.done[w] && self.covers(w, chunk))
-            .count()
+    /// Per chunk, how many of the round's tasks in a `counted` state
+    /// cover it.
+    pub(crate) fn coverage(&self, counted: impl Fn(TaskKind, TaskState) -> bool) -> Vec<usize> {
+        let mut cover = vec![0; self.assignment.chunks_per_partition];
+        for (_, kind, task, chunks) in self.tasks() {
+            if counted(kind, task.state) {
+                for &c in chunks {
+                    if let Some(n) = cover.get_mut(c) {
+                        *n += 1;
+                    }
+                }
+            }
+        }
+        cover
     }
 
+    /// Whether every chunk has `k_eff` done results. Checked chunk by
+    /// chunk, so an incomplete round (the common case, on every task
+    /// completion) usually stops at chunk 0.
     pub(crate) fn complete(&self) -> bool {
-        (0..self.assignment.chunks_per_partition).all(|c| self.done_cover(c) >= self.k_eff)
+        (0..self.assignment.chunks_per_partition).all(|chunk| {
+            self.done_results()
+                .filter(|&(.., chunks)| chunks.contains(&chunk))
+                .count()
+                >= self.k_eff
+        })
+    }
+
+    /// Arms the round's §4.3 deadline at `deadline`, superseding every
+    /// earlier one, and returns the timeout event to schedule for it.
+    pub(crate) fn arm(&mut self, job: JobId, deadline: f64) -> EventKind {
+        self.armed_deadline = deadline;
+        self.armed_seq += 1;
+        EventKind::Timeout {
+            job,
+            generation: self.generation,
+            arm: self.armed_seq,
+        }
+    }
+
+    /// Cancels `worker`'s `kind` task if it is running: marks it
+    /// cancelled, refunds the compute it will not perform, tells the
+    /// backend (so real workers drop the work too) and traces the
+    /// cancel. A cancelled redo also drops its chunks, or a later merged
+    /// redo on this worker would credit coverage nobody computed.
+    /// Returns whether a task was cancelled.
+    pub(crate) fn cancel(
+        &mut self,
+        worker: usize,
+        kind: TaskKind,
+        sink: &mut CancelSink<'_>,
+    ) -> bool {
+        let (share, generation, now) = (self.share, self.generation, sink.now);
+        let Some(slot) = self.workers.get_mut(worker) else {
+            return false;
+        };
+        let task = slot.task_mut(kind);
+        if !task.running() {
+            return false;
+        }
+        task.state = TaskState::Cancelled;
+        let refund = task.refund_busy(now, share);
+        if let Some(busy) = sink.busy_time.get_mut(worker) {
+            *busy -= refund;
+        }
+        if kind.is_redo() {
+            slot.redo_chunks.clear();
+        }
+        let (job, redo) = (sink.job, kind.is_redo());
+        sink.backend.on_cancel(job, generation, worker, redo);
+        trace_into(sink.telemetry, now, || TraceEventKind::TaskCancel {
+            job,
+            worker,
+            generation,
+            redo,
+        });
+        true
+    }
+
+    /// Cancels every running task of the round, in worker order,
+    /// original before redo.
+    pub(crate) fn cancel_all(&mut self, sink: &mut CancelSink<'_>) {
+        for w in 0..self.workers.len() {
+            for kind in TaskKind::BOTH {
+                self.cancel(w, kind, sink);
+            }
+        }
     }
 }
 
@@ -678,10 +844,15 @@ impl ServiceEngine {
             generation,
             rung,
         });
-        // Per-worker bookkeeping comes from the scratch pool when a
-        // retired round left one (reset in place — contents identical to
-        // fresh allocation).
-        let sc = self.take_scratch(n);
+        // The task records come from the scratch pool when a retired
+        // round left some (reset in place — identical to fresh ones).
+        let workers = match self.scratch.take(n) {
+            Some(workers) => {
+                self.report.scratch_reuses += 1;
+                workers
+            }
+            None => vec![WorkerTasks::default(); n],
+        };
         let mut iter = RunningIteration {
             generation,
             round_index,
@@ -690,20 +861,11 @@ impl ServiceEngine {
             rows_per_chunk: rpc,
             rhs,
             assignment,
-            finish: sc.finish,
-            done: sc.done,
-            valid: sc.valid,
-            redo_chunks: sc.redo_chunks,
-            redo_finish: sc.redo_finish,
-            redo_done: sc.redo_done,
-            redo_valid: sc.redo_valid,
-            busy_charged: sc.busy_charged,
-            redo_busy_charged: sc.redo_busy_charged,
-            ded_offset: sc.ded_offset,
+            workers,
             parked_at: None,
             waited_out: false,
             armed_deadline: f64::INFINITY,
-            armed_seq: 1,
+            armed_seq: 0,
             share_integral: 0.0,
             share_anchor: at,
             started: at,
@@ -722,25 +884,21 @@ impl ServiceEngine {
         let mut max_planned_span: f64 = 0.0;
         let mut max_actual_span: f64 = 0.0;
         let window = &self.resident[&id].window;
-        for (w, &plan_speed) in plan_speeds.iter().enumerate() {
-            let chunks = iter.assignment.chunks[w].len();
+        let tasks = iter.assignment.chunks.iter().zip(&mut iter.workers);
+        for (w, (&plan_speed, (assigned, slot))) in plan_speeds.iter().zip(tasks).enumerate() {
+            let chunks = assigned.len();
             if chunks == 0 {
                 continue;
             }
             // Intra-job serialization: a worker computes one job's
             // rounds in dispatch order at the job's share, so this
-            // round's task starts after the worker's live tasks from
+            // round's task starts after the worker's running tasks from
             // earlier window rounds. With an empty window (depth 1)
             // `start_w == at` exactly.
             let start_w = window.iter().fold(at, |acc, r| {
-                let mut latest = acc;
-                if r.valid[w] && !r.done[w] && r.finish[w].is_finite() {
-                    latest = latest.max(r.finish[w]);
-                }
-                if r.redo_valid[w] && !r.redo_done[w] && r.redo_finish[w].is_finite() {
-                    latest = latest.max(r.redo_finish[w]);
-                }
-                latest
+                r.workers
+                    .get(w)
+                    .map_or(acc, |prior| prior.running_until(acc))
             });
             let offset = start_w - at;
             let rows_w = chunks * rpc;
@@ -748,19 +906,22 @@ impl ServiceEngine {
             let rate = self.speeds[w] * share * self.compute.elements_per_sec * speedup;
             let t_reply = self.comm.transfer_time(((rows_w * rhs) * 8) as u64);
             let span = t_in + work / rate + t_reply;
-            iter.finish[w] = start_w + span;
+            // Utilization is accounted in dedicated compute-seconds (the
+            // share factor stretches wall time, not work done).
+            slot.original = Task {
+                state: TaskState::Running,
+                finish: start_w + span,
+                busy_charged: work / rate * share,
+            };
             // Freeze the queueing delay in dedicated share-seconds so
             // speed observations can subtract it (approximate across a
             // later rebalance, exact otherwise; identically 0 at depth 1).
-            iter.ded_offset[w] = offset * share;
+            slot.ded_offset = offset * share;
             max_actual_span = max_actual_span.max(offset + span);
             let plan_rate =
                 plan_speed.max(f64::MIN_POSITIVE) * share * self.compute.elements_per_sec * speedup;
             max_planned_span = max_planned_span.max(offset + (t_in + work / plan_rate + t_reply));
-            // Utilization is accounted in dedicated compute-seconds (the
-            // share factor stretches wall time, not work done).
-            iter.busy_charged[w] = work / rate * share;
-            self.report.busy_time[w] += iter.busy_charged[w];
+            self.report.busy_time[w] += slot.original.busy_charged;
             trace_into(&mut self.telemetry, at, || TraceEventKind::TaskDispatch {
                 job: id,
                 worker: w,
@@ -769,7 +930,7 @@ impl ServiceEngine {
                 redo: false,
             });
             self.queue.push(
-                iter.finish[w],
+                slot.original.finish,
                 EventKind::TaskComplete {
                     job: id,
                     worker: w,
@@ -788,15 +949,7 @@ impl ServiceEngine {
             SchedulerMode::Uncoded | SchedulerMode::ConventionalMds => max_actual_span,
         };
         let deadline = at + (1.0 + self.cfg.timeout_margin) * span;
-        iter.armed_deadline = deadline;
-        self.queue.push(
-            deadline,
-            EventKind::Timeout {
-                job: id,
-                generation,
-                arm: iter.armed_seq,
-            },
-        );
+        self.queue.push(deadline, iter.arm(id, deadline));
 
         if rhs > 1 {
             self.report.batch_rounds += 1;
@@ -813,19 +966,6 @@ impl ServiceEngine {
         Ok(())
     }
 
-    /// Pops a pooled scratch set (reset in place) or builds a fresh one.
-    fn take_scratch(&mut self, n: usize) -> IterScratch {
-        let mut sc = match self.scratch.pop() {
-            Some(sc) => {
-                self.report.scratch_reuses += 1;
-                sc
-            }
-            None => IterScratch::default(),
-        };
-        sc.reset(n);
-        sc
-    }
-
     pub(crate) fn on_task_complete(
         &mut self,
         id: JobId,
@@ -834,7 +974,7 @@ impl ServiceEngine {
         redo: bool,
         t: f64,
     ) -> Result<(), ServeError> {
-        {
+        let completed = {
             let Some(job) = self.resident.get_mut(&id) else {
                 return Ok(());
             };
@@ -846,67 +986,53 @@ impl ServiceEngine {
             if iter.parked_at.is_some() {
                 return Ok(());
             }
-            if redo {
-                // A rescheduled (merged) redo task supersedes this event.
-                if !iter.redo_valid[worker]
-                    || iter.redo_done[worker]
-                    || (t - iter.redo_finish[worker]).abs() > 1e-9
-                {
-                    return Ok(());
-                }
-                iter.redo_done[worker] = true;
-                let rows_w = iter.redo_chunks[worker].len() * iter.rows_per_chunk;
-                iter.last_reply = self.comm.transfer_time(((rows_w * iter.rhs) * 8) as u64);
+            let kind = if redo {
+                TaskKind::Redo
             } else {
-                // The finish-time match drops completion events superseded
-                // by a share rebalance (the task was rescheduled).
-                if !iter.valid[worker]
-                    || iter.done[worker]
-                    || (t - iter.finish[worker]).abs() > 1e-9
-                {
-                    return Ok(());
-                }
-                iter.done[worker] = true;
-                let reply_rows = iter.assignment.chunks[worker].len() * iter.rows_per_chunk;
-                iter.last_reply = self
-                    .comm
-                    .transfer_time(((reply_rows * iter.rhs) * 8) as u64);
-                // Feed the predictor with the observed relative rate. Redo
-                // tasks are excluded (their span includes master-side idle
-                // time, which would skew the estimate — same rule as the
-                // single-job engine). The denominator is the share
-                // *integral*, not `duration · share`: rebalances change the
-                // share mid-task and the naive product would mis-scale the
-                // estimate by up to `old_share / new_share`. Pipelined
-                // rounds additionally subtract the queueing offset the
-                // task spent waiting behind earlier window rounds.
-                if matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. }) {
-                    let rows_w = iter.assignment.chunks[worker].len() * iter.rows_per_chunk;
-                    let dedicated = (iter.dedicated_by(iter.finish[worker])
-                        - iter.ded_offset[worker])
-                        .max(f64::MIN_POSITIVE);
-                    // The observed rate covers the whole stacked width the
-                    // worker actually computed, so batched and unbatched
-                    // rounds feed the predictor the same per-element speed.
-                    let observed =
-                        ((rows_w * job.members[0].spec.cols) * iter.rhs) as f64 / dedicated;
-                    let mut obs: Vec<Option<f64>> = vec![None; self.speeds.len()];
-                    obs[worker] = Some(observed);
-                    self.tracker.observe(&obs);
-                }
+                TaskKind::Original
+            };
+            let Some(slot) = iter.workers.get_mut(worker) else {
+                return Ok(());
+            };
+            let ded_offset = slot.ded_offset;
+            let task = slot.task_mut(kind);
+            // The finish-time match drops completion events superseded by
+            // a share rebalance or a merged redo (the task was
+            // rescheduled).
+            if !task.running() || (t - task.finish).abs() > 1e-9 {
+                return Ok(());
             }
-        }
+            task.state = TaskState::Done;
+            let finish = task.finish;
+            let rows_w = iter.chunks_of(worker, kind).len() * iter.rows_per_chunk;
+            iter.last_reply = self.comm.transfer_time(((rows_w * iter.rhs) * 8) as u64);
+            // Feed the predictor with the observed relative rate. Redo
+            // tasks are excluded (their span includes master-side idle
+            // time, which would skew the estimate — same rule as the
+            // single-job engine). The denominator is the share
+            // *integral*, not `duration · share`: rebalances change the
+            // share mid-task and the naive product would mis-scale the
+            // estimate by up to `old_share / new_share`. Pipelined
+            // rounds additionally subtract the queueing offset the
+            // task spent waiting behind earlier window rounds.
+            if !redo && matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. }) {
+                let dedicated = (iter.dedicated_by(finish) - ded_offset).max(f64::MIN_POSITIVE);
+                // The observed rate covers the whole stacked width the
+                // worker actually computed, so batched and unbatched
+                // rounds feed the predictor the same per-element speed.
+                let observed = ((rows_w * job.members[0].spec.cols) * iter.rhs) as f64 / dedicated;
+                let mut obs: Vec<Option<f64>> = vec![None; self.speeds.len()];
+                obs[worker] = Some(observed);
+                self.tracker.observe(&obs);
+            }
+            iter.complete()
+        };
         trace_into(&mut self.telemetry, t, || TraceEventKind::TaskComplete {
             job: id,
             worker,
             generation,
             redo,
         });
-        let completed = self
-            .resident
-            .get(&id)
-            .and_then(|j| j.window.iter().find(|r| r.generation == generation))
-            .is_some_and(RunningIteration::complete);
         if completed {
             self.on_round_complete(id, generation)?;
         }
@@ -934,46 +1060,17 @@ impl ServiceEngine {
         let head = pos == 0 && job.window[0].round_index == job.iterations_done;
         let iter = &mut job.window[pos];
         // The master stops caring about still-running tasks (conventional
-        // stragglers, superfluous redo): refund the compute they will not
-        // perform, and tell the backend so real workers drop the stale
-        // work too. The valid flags are cleared so a later churn event
-        // cannot refund the same task twice while the round sits parked.
-        for w in 0..iter.assignment.workers() {
-            if iter.valid[w] && !iter.done[w] && iter.finish[w].is_finite() {
-                iter.valid[w] = false;
-                refund_busy(
-                    &mut self.report.busy_time[w],
-                    &mut iter.busy_charged[w],
-                    iter.finish[w],
-                    now,
-                    iter.share,
-                );
-                self.backend.on_cancel(id, generation, w, false);
-                trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                    job: id,
-                    worker: w,
-                    generation,
-                    redo: false,
-                });
-            }
-            if iter.redo_valid[w] && !iter.redo_done[w] && iter.redo_finish[w].is_finite() {
-                iter.redo_valid[w] = false;
-                refund_busy(
-                    &mut self.report.busy_time[w],
-                    &mut iter.redo_busy_charged[w],
-                    iter.redo_finish[w],
-                    now,
-                    iter.share,
-                );
-                self.backend.on_cancel(id, generation, w, true);
-                trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                    job: id,
-                    worker: w,
-                    generation,
-                    redo: true,
-                });
-            }
-        }
+        // stragglers, superfluous redo): cancelling refunds the compute
+        // they will not perform and tells the backend, so real workers
+        // drop the stale work too — and a later churn event cannot refund
+        // the same task twice while the round sits parked.
+        iter.cancel_all(&mut CancelSink {
+            job: id,
+            now,
+            busy_time: &mut self.report.busy_time,
+            backend: self.backend.as_mut(),
+            telemetry: &mut self.telemetry,
+        });
         iter.parked_at = Some(now);
         if head {
             return self.retire_ready_rounds(id);
@@ -1101,54 +1198,68 @@ impl ServiceEngine {
             job.iterations_done += 1;
             job.iter_retries = 0;
             job.last_retire_end = end;
-            reclaim_scratch(&mut self.scratch, iter);
+            self.scratch.reclaim(iter);
             if job.iterations_done >= job.leader().iterations {
-                // Every member resolves with its own record: its own
-                // arrival (and therefore sojourn), weight, SLO, and work —
-                // the batch is an execution detail, not a reporting unit.
-                for m in &job.members {
-                    let record = JobRecord {
-                        id: m.spec.id,
-                        tenant: m.spec.tenant,
-                        preset: m.spec.preset,
-                        arrival: m.arrival,
-                        admitted: job.admitted,
-                        finished: end,
-                        iterations: job.iterations_done,
-                        retries: job.total_retries,
-                        failed: false,
-                        rejected: false,
-                        rate_limited: false,
-                        weight: m.spec.weight,
-                        deadline: m.spec.deadline,
-                        work: m.spec.total_work(),
-                    };
-                    self.report.jobs.push(record);
-                    if let Some(tel) = self.telemetry.as_mut() {
-                        tel.metrics.observe("job_latency", end - m.arrival);
-                    }
-                    let (jid, tenant) = (m.spec.id, m.spec.tenant);
-                    trace_into(&mut self.telemetry, end, || TraceEventKind::JobComplete {
-                        job: jid,
-                        tenant,
-                    });
-                }
-                let member_ids: Vec<JobId> = job.members.iter().map(|m| m.spec.id).collect();
-                self.resident.remove(&id);
-                for mid in member_ids {
-                    self.backend.on_job_resolved(mid);
-                }
-                // Work conservation: the freed capacity flows to the
-                // survivors now, not at their next iteration boundaries.
-                self.rebalance_shares();
-                self.try_admit()?;
-                return Ok(());
+                return self.resolve_residency(id, end, false);
             }
             at = end;
         }
         // The commit cursor advanced and the window has room: dispatch
         // the next fresh rounds from the last decode's end.
         self.fill_window(id, at)
+    }
+
+    /// Ends residency `id` at `finished`, completed or `failed`. Every
+    /// member resolves with its own record — its own arrival (and
+    /// therefore sojourn), weight, SLO, and work; the batch is an
+    /// execution detail, not a reporting unit. Work conservation: the
+    /// freed capacity flows to the survivors now, not at their next
+    /// iteration boundaries, and admission refills the slot.
+    pub(crate) fn resolve_residency(
+        &mut self,
+        id: JobId,
+        finished: f64,
+        failed: bool,
+    ) -> Result<(), ServeError> {
+        let Some(job) = self.resident.remove(&id) else {
+            return Ok(());
+        };
+        for m in &job.members {
+            self.report.jobs.push(JobRecord {
+                id: m.spec.id,
+                tenant: m.spec.tenant,
+                preset: m.spec.preset,
+                arrival: m.arrival,
+                admitted: job.admitted,
+                finished,
+                iterations: job.iterations_done,
+                retries: job.total_retries,
+                failed,
+                rejected: false,
+                rate_limited: false,
+                weight: m.spec.weight,
+                deadline: m.spec.deadline,
+                work: m.spec.total_work(),
+            });
+            let (jid, tenant) = (m.spec.id, m.spec.tenant);
+            if failed {
+                trace_into(&mut self.telemetry, finished, || {
+                    TraceEventKind::JobFailed { job: jid, tenant }
+                });
+            } else {
+                if let Some(tel) = self.telemetry.as_mut() {
+                    tel.metrics.observe("job_latency", finished - m.arrival);
+                }
+                trace_into(&mut self.telemetry, finished, || {
+                    TraceEventKind::JobComplete { job: jid, tenant }
+                });
+            }
+        }
+        for m in &job.members {
+            self.backend.on_job_resolved(m.spec.id);
+        }
+        self.rebalance_shares();
+        self.try_admit()
     }
 
     pub(crate) fn on_timeout(
@@ -1209,67 +1320,30 @@ impl ServiceEngine {
             let Some(job) = self.resident.get_mut(&id) else {
                 continue;
             };
+            let mut sink = CancelSink {
+                job: id,
+                now,
+                busy_time: &mut self.report.busy_time,
+                backend: self.backend.as_mut(),
+                telemetry: &mut self.telemetry,
+            };
             let mut doomed: Vec<u64> = Vec::new();
             for iter in &mut job.window {
                 // Parked rounds have no live tasks (cancelled at park).
                 if iter.parked_at.is_some() {
                     continue;
                 }
-                let generation = iter.generation;
                 let mut affected = false;
-                if iter.valid[worker] && !iter.done[worker] && iter.finish[worker].is_finite() {
-                    iter.valid[worker] = false;
-                    refund_busy(
-                        &mut self.report.busy_time[worker],
-                        &mut iter.busy_charged[worker],
-                        iter.finish[worker],
-                        now,
-                        iter.share,
-                    );
-                    self.backend.on_cancel(id, generation, worker, false);
-                    trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                        job: id,
-                        worker,
-                        generation,
-                        redo: false,
-                    });
-                    affected = true;
-                }
-                if iter.redo_valid[worker] && !iter.redo_done[worker] {
-                    iter.redo_valid[worker] = false;
-                    refund_busy(
-                        &mut self.report.busy_time[worker],
-                        &mut iter.redo_busy_charged[worker],
-                        iter.redo_finish[worker],
-                        now,
-                        iter.share,
-                    );
-                    self.backend.on_cancel(id, generation, worker, true);
-                    // The cancelled recompute never happens: drop its chunks
-                    // from the redo bookkeeping, or a later merged redo on
-                    // this worker would mark `redo_done` and `done_cover`
-                    // would credit coverage nobody computed.
-                    iter.redo_chunks[worker].clear();
-                    iter.redo_finish[worker] = f64::INFINITY;
-                    trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                        job: id,
-                        worker,
-                        generation,
-                        redo: true,
-                    });
-                    affected = true;
+                for kind in TaskKind::BOTH {
+                    affected |= iter.cancel(worker, kind, &mut sink);
                 }
                 if !affected {
                     continue;
                 }
-                let is_doomed = (0..iter.assignment.chunks_per_partition).any(|c| {
-                    iter.done_cover(c)
-                        + iter.pending_redo_cover(c)
-                        + iter.inflight_original_cover(c)
-                        < iter.k_eff
-                });
-                if is_doomed {
-                    doomed.push(generation);
+                let live =
+                    iter.coverage(|_, state| matches!(state, TaskState::Done | TaskState::Running));
+                if live.iter().any(|&c| c < iter.k_eff) {
+                    doomed.push(iter.generation);
                 }
             }
             for generation in doomed {
@@ -1342,25 +1416,26 @@ impl ServiceEngine {
 /// solves and RHS adjustments. That factor-once term is the decode-side
 /// amortization batching buys.
 pub(crate) fn decode_flops(iter: &RunningIteration) -> f64 {
-    let n = iter.assignment.workers();
     let k = iter.k_eff;
     let rpc = iter.rows_per_chunk as f64;
     let rhs = iter.rhs as f64;
+    let mut finishers: Vec<Vec<(f64, usize)>> =
+        vec![Vec::new(); iter.assignment.chunks_per_partition];
+    for (w, _, task, chunks) in iter.done_results() {
+        for &chunk in chunks {
+            if let Some(f) = finishers.get_mut(chunk) {
+                f.push((task.finish, w));
+            }
+        }
+    }
     let mut flops = 0.0;
-    for chunk in 0..iter.assignment.chunks_per_partition {
-        let mut finishers: Vec<(f64, usize)> = (0..n)
-            .filter_map(|w| {
-                if iter.done[w] && iter.covers(w, chunk) {
-                    Some((iter.finish[w], w))
-                } else if iter.redo_done[w] && iter.redo_chunks[w].contains(&chunk) {
-                    Some((iter.redo_finish[w], w))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        finishers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let missing = finishers.iter().take(k).filter(|&&(_, w)| w >= k).count() as f64;
+    for mut chunk_finishers in finishers {
+        chunk_finishers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let missing = chunk_finishers
+            .iter()
+            .take(k)
+            .filter(|&&(_, w)| w >= k)
+            .count() as f64;
         flops += missing.powi(3) / 3.0
             + rhs * (rpc * missing.powi(2))
             + rhs * (missing * k as f64 * rpc);

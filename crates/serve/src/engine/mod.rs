@@ -10,8 +10,9 @@
 //! The engine is split into focused submodules, all driven by one event
 //! loop (this module):
 //!
-//! * `core` — resident-job state and the event handlers (arrival,
-//!   admission, iteration start/completion, churn, epoch ticks);
+//! * `core` — resident-job state, the per-round task record, and the
+//!   event handlers (arrival, admission, iteration start/completion,
+//!   churn, epoch ticks);
 //! * [`backend`] — the pluggable `ExecutionBackend` seam: timing-only
 //!   simulation, master-side verified numerics, or real OS-thread
 //!   workers (selected via [`BackendKind`]);
@@ -20,7 +21,7 @@
 //! * `rebalance` — work-conserving share rebalancing and
 //!   deadline-aware share boosting;
 //! * `pipeline` — the cross-round in-flight window policy
-//!   ([`PipelinePolicy`]) and the per-round scratch pool.
+//!   ([`PipelinePolicy`]) and the pool of retired rounds' task records.
 //!
 //! # Timing model
 //!
@@ -97,6 +98,17 @@
 //! ([`ServeConfig::deadline_boost`]) bumps a resident job's effective
 //! weight once its remaining slack falls below a threshold fraction of
 //! its SLO, pulling at-risk jobs forward inside the capacity layer.
+//!
+//! # Task records
+//!
+//! Each in-flight round keeps one record per pool worker: the worker's
+//! original task and the redo task rung 3 may hand it, each with a
+//! state (idle, running, done, cancelled), a scheduled finish and a
+//! busy charge. Every cancel goes through one
+//! method (state flip, busy refund, backend notice, trace), and every
+//! coverage question — is the round complete, what does recovery still
+//! need, is a churned round doomed, what does the backend decode from —
+//! reads the same view of the round's tasks.
 //!
 //! # Robustness ladder (per iteration)
 //!
@@ -385,9 +397,9 @@ pub struct ServiceEngine {
     /// window, and without this dedup each re-plan would enqueue
     /// another identical no-op flush.
     pending_flushes: Vec<(BatchKey, f64)>,
-    /// Retired rounds' per-worker bookkeeping vectors, pooled for reuse
-    /// by the next dispatch (see [`pipeline::IterScratch`]).
-    scratch: Vec<pipeline::IterScratch>,
+    /// Retired rounds' task records, pooled for reuse by the next
+    /// dispatch (see [`pipeline::ScratchPool`]).
+    scratch: pipeline::ScratchPool,
 }
 
 impl std::fmt::Debug for ServiceEngine {
@@ -524,7 +536,7 @@ impl ServiceEngine {
             },
             buckets,
             pending_flushes: Vec::new(),
-            scratch: Vec::new(),
+            scratch: pipeline::ScratchPool::default(),
         })
     }
 

@@ -11,7 +11,7 @@
 //! runs at the job's single share, so the job's capacity draw is
 //! constant regardless of pipeline depth.
 
-use super::core::{BatchMember, ResidentJob};
+use super::core::{BatchMember, ResidentJob, TaskKind};
 use super::{trace_into, ServiceEngine};
 use crate::event::{EventKind, JobId};
 use s2c2_telemetry::TraceEventKind;
@@ -122,42 +122,22 @@ impl ServiceEngine {
                 let generation = iter.generation;
                 let mut touched = false;
                 let mut latest = now;
-                for w in 0..iter.assignment.workers() {
-                    if iter.valid[w]
-                        && !iter.done[w]
-                        && iter.finish[w].is_finite()
-                        && iter.finish[w] > now
-                    {
-                        let nf = now + (iter.finish[w] - now) * stretch;
-                        iter.finish[w] = nf;
-                        latest = latest.max(nf);
+                for (w, slot) in iter.workers.iter_mut().enumerate() {
+                    for kind in TaskKind::BOTH {
+                        let task = slot.task_mut(kind);
+                        if !task.running() || task.finish <= now {
+                            continue;
+                        }
+                        task.finish = now + (task.finish - now) * stretch;
+                        latest = latest.max(task.finish);
                         touched = true;
                         self.queue.push(
-                            nf,
+                            task.finish,
                             EventKind::TaskComplete {
                                 job: id,
                                 worker: w,
                                 generation,
-                                redo: false,
-                            },
-                        );
-                    }
-                    if iter.redo_valid[w]
-                        && !iter.redo_done[w]
-                        && iter.redo_finish[w].is_finite()
-                        && iter.redo_finish[w] > now
-                    {
-                        let nf = now + (iter.redo_finish[w] - now) * stretch;
-                        iter.redo_finish[w] = nf;
-                        latest = latest.max(nf);
-                        touched = true;
-                        self.queue.push(
-                            nf,
-                            EventKind::TaskComplete {
-                                job: id,
-                                worker: w,
-                                generation,
-                                redo: true,
+                                redo: kind.is_redo(),
                             },
                         );
                     }
@@ -186,19 +166,8 @@ impl ServiceEngine {
                 resident: resident_count,
             });
             for (pos, latest) in rearm {
-                let iter = &mut job.window[pos];
                 let deadline = now + (1.0 + margin) * (latest - now).max(f64::MIN_POSITIVE);
-                iter.armed_deadline = deadline;
-                iter.armed_seq += 1;
-                let (generation, arm) = (iter.generation, iter.armed_seq);
-                self.queue.push(
-                    deadline,
-                    EventKind::Timeout {
-                        job: id,
-                        generation,
-                        arm,
-                    },
-                );
+                self.queue.push(deadline, job.window[pos].arm(id, deadline));
             }
         }
     }

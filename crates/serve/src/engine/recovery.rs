@@ -14,10 +14,9 @@
 //! the [`s2c2_cluster::threaded::ThreadedCluster`] cooperative-cancel
 //! hook) and dispatches the same redo work the timing model schedules.
 
-use super::core::{reclaim_scratch, refund_busy, RunningIteration};
+use super::core::{CancelSink, RunningIteration, TaskKind, TaskState};
 use super::{thread_speedup, trace_into, SchedulerMode, ServeError, ServiceEngine};
 use crate::event::{EventKind, JobId};
-use crate::metrics::JobRecord;
 use s2c2_telemetry::TraceEventKind;
 
 impl ServiceEngine {
@@ -57,7 +56,6 @@ impl ServiceEngine {
         }
         let iter = &mut job.window[pos];
         let n = iter.assignment.workers();
-        let c = iter.assignment.chunks_per_partition;
         let rpc = iter.rows_per_chunk;
         // A mid-batch straggler degrades or redoes *per batch*: the
         // whole stacked round is recovered at once, so per-member
@@ -68,27 +66,22 @@ impl ServiceEngine {
         // Outstanding need per chunk. Adaptive mode writes in-flight
         // originals off as cancelled (the §4.3 rule); the baselines keep
         // counting on them (they only recover from churn).
-        let mut need = vec![0usize; c];
-        let mut total_need = 0usize;
-        for (chunk, slot) in need.iter_mut().enumerate() {
-            let mut have = iter.done_cover(chunk) + iter.pending_redo_cover(chunk);
-            if !cancel_late {
-                have += iter.inflight_original_cover(chunk);
-            }
-            *slot = iter.k_eff.saturating_sub(have);
-            total_need += *slot;
-        }
+        let need: Vec<usize> = iter
+            .coverage(|kind, state| match state {
+                TaskState::Done => true,
+                TaskState::Running => kind.is_redo() || !cancel_late,
+                TaskState::Idle | TaskState::Cancelled => false,
+            })
+            .iter()
+            .map(|&have| iter.k_eff.saturating_sub(have))
+            .collect();
+        let total_need: usize = need.iter().sum();
 
         let reschedule_after_inflight = |iter: &RunningIteration| -> f64 {
-            let mut latest = now;
-            for w in 0..n {
-                if iter.valid[w] && !iter.done[w] && iter.finish[w].is_finite() {
-                    latest = latest.max(iter.finish[w]);
-                }
-                if iter.redo_valid[w] && !iter.redo_done[w] && iter.redo_finish[w].is_finite() {
-                    latest = latest.max(iter.redo_finish[w]);
-                }
-            }
+            let latest = iter
+                .workers
+                .iter()
+                .fold(now, |acc, slot| slot.running_until(acc));
             now + (1.0 + margin) * (latest - now).max(f64::MIN_POSITIVE)
         };
 
@@ -96,23 +89,20 @@ impl ServiceEngine {
             // Everything outstanding is already being handled; re-arm the
             // safety net behind the open tasks.
             let deadline = reschedule_after_inflight(iter);
-            iter.armed_deadline = deadline;
-            iter.armed_seq += 1;
-            let arm = iter.armed_seq;
-            self.queue.push(
-                deadline,
-                EventKind::Timeout {
-                    job: id,
-                    generation,
-                    arm,
-                },
-            );
+            self.queue.push(deadline, iter.arm(id, deadline));
             return Ok(());
         }
 
         // Rung 3: hand the missing chunks to finished, still-present
         // workers (they hold the coded partitions — no data movement).
-        let hosts: Vec<usize> = (0..n).filter(|&w| iter.done[w] && up[w]).collect();
+        let hosts: Vec<usize> = iter
+            .workers
+            .iter()
+            .zip(&up)
+            .enumerate()
+            .filter(|&(_, (slot, &alive))| slot.original.state == TaskState::Done && alive)
+            .map(|(w, _)| w)
+            .collect();
         let mut extra: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut satisfiable = true;
         'chunks: for (chunk, &need_c) in need.iter().enumerate() {
@@ -122,13 +112,14 @@ impl ServiceEngine {
                     .copied()
                     .filter(|&w| {
                         !iter.covers(w, chunk)
-                            && !iter.redo_chunks[w].contains(&chunk)
+                            && !iter.workers[w].redo_chunks.contains(&chunk)
                             && !extra[w].contains(&chunk)
                     })
                     .min_by(|&a, &b| {
-                        (iter.redo_chunks[a].len() + extra[a].len())
-                            .cmp(&(iter.redo_chunks[b].len() + extra[b].len()))
-                            .then(iter.finish[a].total_cmp(&iter.finish[b]))
+                        let (ta, tb) = (&iter.workers[a], &iter.workers[b]);
+                        (ta.redo_chunks.len() + extra[a].len())
+                            .cmp(&(tb.redo_chunks.len() + extra[b].len()))
+                            .then(ta.original.finish.total_cmp(&tb.original.finish))
                             .then(a.cmp(&b))
                     });
                 match pick {
@@ -152,54 +143,47 @@ impl ServiceEngine {
                 let mut obs: Vec<Option<f64>> = vec![None; n];
                 let mut any_cancelled = false;
                 let t_in = comm.transfer_time((cols * rhs * 8) as u64);
+                let mut sink = CancelSink {
+                    job: id,
+                    now,
+                    busy_time: &mut self.report.busy_time,
+                    backend: self.backend.as_mut(),
+                    telemetry: &mut self.telemetry,
+                };
                 for (w, slot) in obs.iter_mut().enumerate() {
-                    // `is_finite` matters: a worker with no task this
-                    // iteration has finish == INFINITY, and "cancelling"
-                    // it would fabricate a near-zero speed observation
-                    // that permanently excludes a healthy worker.
-                    if iter.valid[w]
-                        && !iter.done[w]
-                        && iter.finish[w].is_finite()
-                        && iter.finish[w] > now
-                    {
-                        iter.valid[w] = false;
-                        refund_busy(
-                            &mut self.report.busy_time[w],
-                            &mut iter.busy_charged[w],
-                            iter.finish[w],
-                            now,
-                            iter.share,
-                        );
-                        self.backend.on_cancel(id, iter.generation, w, false);
-                        trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                            job: id,
-                            worker: w,
-                            generation,
-                            redo: false,
-                        });
-                        let rows_w = iter.assignment.chunks[w].len() * rpc;
-                        let work = ((rows_w * cols) * rhs) as f64;
-                        let t_reply = comm.transfer_time(((rows_w * rhs) * 8) as u64);
-                        // Reconstruct progress in *dedicated* share-
-                        // seconds (the share integral), not wall time —
-                        // rebalances change the share mid-task, and wall
-                        // spans would misattribute the mixed-share
-                        // window. Comm legs are charged at the current
-                        // share (exact when the share never changed).
-                        // Pipelined rounds subtract the queueing offset
-                        // spent waiting behind earlier window rounds
-                        // (identically 0 at depth 1).
-                        let ded_total = (iter.dedicated_by(iter.finish[w]) - iter.ded_offset[w])
-                            .max(f64::MIN_POSITIVE);
-                        let ded_elapsed =
-                            (iter.dedicated_by(now) - iter.ded_offset[w]).max(f64::MIN_POSITIVE);
-                        let ded_comm = (t_in + t_reply) * iter.share;
-                        let compute_ded = (ded_total - ded_comm).max(f64::MIN_POSITIVE);
-                        let rate = work / compute_ded;
-                        let partial = (rate * (ded_elapsed - t_in * iter.share).max(0.0)).min(work);
-                        *slot = Some(partial.max(1.0) / ded_elapsed);
-                        any_cancelled = true;
+                    // Only running tasks are cancelled: a worker with no
+                    // task this iteration must not fabricate a near-zero
+                    // speed observation that permanently excludes a
+                    // healthy worker.
+                    let Some((finish, ded_offset)) = iter
+                        .workers
+                        .get(w)
+                        .map(|t| (t.original.finish, t.ded_offset))
+                    else {
+                        continue;
+                    };
+                    if finish <= now || !iter.cancel(w, TaskKind::Original, &mut sink) {
+                        continue;
                     }
+                    let rows_w = iter.chunks_of(w, TaskKind::Original).len() * rpc;
+                    let work = ((rows_w * cols) * rhs) as f64;
+                    let t_reply = comm.transfer_time(((rows_w * rhs) * 8) as u64);
+                    // Reconstruct progress in *dedicated* share-seconds
+                    // (the share integral), not wall time — rebalances
+                    // change the share mid-task, and wall spans would
+                    // misattribute the mixed-share window. Comm legs are
+                    // charged at the current share (exact when the share
+                    // never changed). Pipelined rounds subtract the
+                    // queueing offset spent waiting behind earlier window
+                    // rounds (identically 0 at depth 1).
+                    let ded_total = (iter.dedicated_by(finish) - ded_offset).max(f64::MIN_POSITIVE);
+                    let ded_elapsed = (iter.dedicated_by(now) - ded_offset).max(f64::MIN_POSITIVE);
+                    let ded_comm = (t_in + t_reply) * iter.share;
+                    let compute_ded = (ded_total - ded_comm).max(f64::MIN_POSITIVE);
+                    let rate = work / compute_ded;
+                    let partial = (rate * (ded_elapsed - t_in * iter.share).max(0.0)).min(work);
+                    *slot = Some(partial.max(1.0) / ded_elapsed);
+                    any_cancelled = true;
                 }
                 if any_cancelled {
                     self.tracker.observe(&obs);
@@ -223,16 +207,18 @@ impl ServiceEngine {
                 self.backend
                     .on_redo(id, generation, w, &new_chunks)
                     .map_err(ServeError::Backend)?;
-                // Merge with any still-pending redo on the same worker:
+                let share = iter.share;
+                let slot = &mut iter.workers[w];
+                // Merge with any still-running redo on the same worker:
                 // the combined task finishes after both workloads.
-                let base = if iter.redo_valid[w] && !iter.redo_done[w] {
-                    iter.redo_finish[w]
+                let base = if slot.redo.running() {
+                    slot.redo.finish
                 } else {
                     now
                 };
                 let rows_w = new_chunks.len() * rpc;
                 let work = ((rows_w * cols) * rhs) as f64;
-                let rate = speeds[w] * iter.share * elements_per_sec * speedup;
+                let rate = speeds[w] * share * elements_per_sec * speedup;
                 // Coded hosts already hold the partitions, so the work
                 // order is a 64-byte control message; uncoded hosts must
                 // first receive the raw rows being reassigned.
@@ -245,14 +231,13 @@ impl ServiceEngine {
                     + comm.transfer_time(order_bytes)
                     + work / rate
                     + comm.transfer_time(((rows_w * rhs) * 8) as u64);
-                iter.redo_chunks[w].extend(new_chunks);
-                iter.redo_finish[w] = finish;
-                iter.redo_done[w] = false;
-                iter.redo_valid[w] = true;
+                slot.redo_chunks.extend(new_chunks);
+                slot.redo.state = TaskState::Running;
+                slot.redo.finish = finish;
                 latest_redo = latest_redo.max(finish);
-                iter.redo_busy_charged[w] += work / rate * iter.share;
-                self.report.busy_time[w] += work / rate * iter.share;
-                let chunks = iter.redo_chunks[w].len();
+                slot.redo.busy_charged += work / rate * share;
+                self.report.busy_time[w] += work / rate * share;
+                let chunks = slot.redo_chunks.len();
                 trace_into(&mut self.telemetry, now, || TraceEventKind::TaskDispatch {
                     job: id,
                     worker: w,
@@ -274,26 +259,13 @@ impl ServiceEngine {
                 self.report.timeouts += 1;
             }
             let deadline = now + (1.0 + margin) * (latest_redo - now).max(f64::MIN_POSITIVE);
-            iter.armed_deadline = deadline;
-            iter.armed_seq += 1;
-            let arm = iter.armed_seq;
-            self.queue.push(
-                deadline,
-                EventKind::Timeout {
-                    job: id,
-                    generation,
-                    arm,
-                },
-            );
+            self.queue.push(deadline, iter.arm(id, deadline));
             return Ok(());
         }
 
         // Rung 4: not enough finished workers — wait out whatever is
         // still in flight (conventional semantics).
-        let has_inflight = (0..n).any(|w| {
-            (iter.valid[w] && !iter.done[w] && iter.finish[w].is_finite())
-                || (iter.redo_valid[w] && !iter.redo_done[w])
-        });
+        let has_inflight = iter.tasks().any(|(_, _, task, _)| task.running());
         if has_inflight {
             if !iter.waited_out {
                 iter.waited_out = true;
@@ -309,17 +281,7 @@ impl ServiceEngine {
                 });
             }
             let deadline = reschedule_after_inflight(iter);
-            iter.armed_deadline = deadline;
-            iter.armed_seq += 1;
-            let arm = iter.armed_seq;
-            self.queue.push(
-                deadline,
-                EventKind::Timeout {
-                    job: id,
-                    generation,
-                    arm,
-                },
-            );
+            self.queue.push(deadline, iter.arm(id, deadline));
             return Ok(());
         }
 
@@ -334,7 +296,7 @@ impl ServiceEngine {
         });
         let failed_round = job.window.remove(pos);
         let round_index = failed_round.round_index;
-        reclaim_scratch(&mut self.scratch, failed_round);
+        self.scratch.reclaim(failed_round);
         self.backend.on_iteration_abandoned(id, generation);
         job.iter_retries += 1;
         job.total_retries += 1;
@@ -344,82 +306,20 @@ impl ServiceEngine {
             // each with its own record. The rest of the window is torn
             // down with it — cancel every surviving in-flight task and
             // abandon each round at the backend.
-            while !job.window.is_empty() {
-                let mut r = job.window.remove(0);
-                let gen_r = r.generation;
-                for w in 0..r.assignment.workers() {
-                    if r.valid[w] && !r.done[w] && r.finish[w].is_finite() {
-                        r.valid[w] = false;
-                        refund_busy(
-                            &mut self.report.busy_time[w],
-                            &mut r.busy_charged[w],
-                            r.finish[w],
-                            now,
-                            r.share,
-                        );
-                        self.backend.on_cancel(id, gen_r, w, false);
-                        trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                            job: id,
-                            worker: w,
-                            generation: gen_r,
-                            redo: false,
-                        });
-                    }
-                    if r.redo_valid[w] && !r.redo_done[w] && r.redo_finish[w].is_finite() {
-                        r.redo_valid[w] = false;
-                        refund_busy(
-                            &mut self.report.busy_time[w],
-                            &mut r.redo_busy_charged[w],
-                            r.redo_finish[w],
-                            now,
-                            r.share,
-                        );
-                        self.backend.on_cancel(id, gen_r, w, true);
-                        trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                            job: id,
-                            worker: w,
-                            generation: gen_r,
-                            redo: true,
-                        });
-                    }
-                }
-                self.backend.on_iteration_abandoned(id, gen_r);
-                reclaim_scratch(&mut self.scratch, r);
-            }
-            for m in &job.members {
-                let record = JobRecord {
-                    id: m.spec.id,
-                    tenant: m.spec.tenant,
-                    preset: m.spec.preset,
-                    arrival: m.arrival,
-                    admitted: job.admitted,
-                    finished: now,
-                    iterations: job.iterations_done,
-                    retries: job.total_retries,
-                    failed: true,
-                    rejected: false,
-                    rate_limited: false,
-                    weight: m.spec.weight,
-                    deadline: m.spec.deadline,
-                    work: m.spec.total_work(),
-                };
-                self.report.jobs.push(record);
-                let (jid, tenant) = (m.spec.id, m.spec.tenant);
-                trace_into(&mut self.telemetry, now, || TraceEventKind::JobFailed {
-                    job: jid,
-                    tenant,
+            for mut r in job.window.drain(..) {
+                r.cancel_all(&mut CancelSink {
+                    job: id,
+                    now,
+                    busy_time: &mut self.report.busy_time,
+                    backend: self.backend.as_mut(),
+                    telemetry: &mut self.telemetry,
                 });
+                self.backend.on_iteration_abandoned(id, r.generation);
+                self.scratch.reclaim(r);
             }
-            let member_ids: Vec<JobId> = job.members.iter().map(|m| m.spec.id).collect();
-            self.resident.remove(&id);
-            for mid in member_ids {
-                self.backend.on_job_resolved(mid);
-            }
-            self.rebalance_shares();
-            self.try_admit()?;
+            self.resolve_residency(id, now, true)
         } else {
-            self.dispatch_round(id, round_index, now)?;
+            self.dispatch_round(id, round_index, now)
         }
-        Ok(())
     }
 }

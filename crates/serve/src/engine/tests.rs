@@ -1465,13 +1465,9 @@ fn straggled_round_is_reserved_while_successors_stream() {
     assert!(report.max_decode_error < 1e-6);
 }
 
-#[test]
-fn pipelined_engine_survives_churn_across_window_rounds() {
-    // The survives_churn scenario at depth 2, traced: a worker dying
-    // with live tasks in *two* rounds of one job's window must have
-    // both invalidated at the same instant, and the service must still
-    // resolve every job.
-    use std::collections::BTreeMap;
+/// The survives_churn scenario at depth 2, traced: 25 jobs on a
+/// 12-worker pool whose workers depart mid-round.
+fn pipelined_churn_run() -> ServiceReport {
     let n = 12;
     let mut cfg = pipelined_cfg(2, PredictorSource::LastValue);
     cfg.churn = Some(ChurnConfig {
@@ -1482,7 +1478,16 @@ fn pipelined_engine_survives_churn_across_window_rounds() {
     cfg.max_retries = 10;
     cfg.telemetry = true;
     let engine = ServiceEngine::new(pool(n, &[3]), cfg).unwrap();
-    let report = engine.run(&workload(25, 1.0, n, 21)).unwrap();
+    engine.run(&workload(25, 1.0, n, 21)).unwrap()
+}
+
+#[test]
+fn pipelined_engine_survives_churn_across_window_rounds() {
+    // A worker dying with live tasks in *two* rounds of one job's
+    // window must have both invalidated at the same instant, and the
+    // service must still resolve every job.
+    use std::collections::BTreeMap;
+    let report = pipelined_churn_run();
     assert_eq!(
         report.completed() + report.failed(),
         25,
@@ -1529,5 +1534,36 @@ fn pipelined_engine_survives_churn_across_window_rounds() {
     assert!(
         two_round_kill,
         "the scenario must kill a worker holding tasks in two window rounds"
+    );
+}
+
+#[test]
+fn pipelined_churn_outputs_pinned_across_commits() {
+    // Cross-commit byte-identity pin: the exported JSONL trace of the
+    // churn scenario (worker departures, cancels across window rounds,
+    // redo) and the report counters the trace does not carry. An
+    // engine refactor must leave every one of these bits unchanged.
+    let report = pipelined_churn_run();
+    let tel = report.telemetry.as_ref().unwrap();
+    let jsonl = s2c2_telemetry::export::jsonl(tel.trace.events());
+    let busy_bits: Vec<u8> = report
+        .busy_time
+        .iter()
+        .flat_map(|b| b.to_bits().to_le_bytes())
+        .collect();
+    let pinned = (
+        crate::workload::fnv1a(jsonl.as_bytes()),
+        report.recovery_rung_counts,
+        report.scratch_reuses,
+        crate::workload::fnv1a(&busy_bits),
+    );
+    assert_eq!(
+        pinned,
+        (
+            0x0A20_E738_421F_3F74,
+            [133, 0, 33, 40, 9],
+            125,
+            0x0999_AB1B_23E6_4CF9
+        )
     );
 }

@@ -85,7 +85,7 @@ pub use engine::{
 pub use event::{EventKind, EventQueue, JobId};
 pub use metrics::{percentile, JobRecord, ServiceReport, TenantSummary};
 pub use s2c2_telemetry::{PhaseTotals, Telemetry, TraceEvent, TraceEventKind};
-pub use shared_alloc::{allocate_shared, full_over_available, JobDemand, SharedAssignment};
+pub use shared_alloc::{full_over_available, SharedAssignment};
 pub use workload::{generate_workload, ArrivalPattern, JobPreset, JobSpec};
 
 /// One-stop imports for service-engine users.

@@ -227,9 +227,10 @@ pub struct ServiceReport {
     /// previous round's retirement (0 at depth 1, where rounds are
     /// strictly sequential).
     pub pipeline_overlap_time: f64,
-    /// Per-round task/coverage vector sets served from the engine's
-    /// scratch pool instead of freshly allocated (every round after a
-    /// job's first reuses a retired round's buffers).
+    /// Rounds whose per-worker task records came from the engine's
+    /// scratch pool instead of fresh allocation (a retired round's
+    /// records are reused), plus stacked input buffers the numeric
+    /// backends reused.
     pub scratch_reuses: u64,
     /// Trace buffer + metrics registry, present when the run had
     /// telemetry enabled ([`crate::engine::ServeConfig::telemetry`]).

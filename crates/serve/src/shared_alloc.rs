@@ -18,17 +18,6 @@
 
 use s2c2_core::{allocate_chunks, split_worker_capacity, ChunkAssignment};
 
-/// One resident job's allocation inputs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobDemand {
-    /// Recovery threshold of the job's code.
-    pub k: usize,
-    /// Chunks per coded partition.
-    pub chunks_per_partition: usize,
-    /// Capacity weight (equal weights = processor sharing).
-    pub weight: f64,
-}
-
 /// One job's slice of the shared allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedAssignment {
@@ -67,51 +56,15 @@ pub fn full_over_available(
     }
 }
 
-/// Allocates every resident job's chunks over the shared pool.
-///
-/// `speeds` are the pool's (predicted) per-worker speeds, zero meaning
-/// unavailable. The result is index-aligned with `demands`.
-///
-/// # Panics
-///
-/// Panics if `demands` is empty or any weight is non-positive (both are
-/// engine bugs, not runtime conditions).
-#[must_use]
-pub fn allocate_shared(speeds: &[f64], demands: &[JobDemand]) -> Vec<SharedAssignment> {
-    let weights: Vec<f64> = demands.iter().map(|d| d.weight).collect();
-    let slices = split_worker_capacity(speeds, &weights);
-    let total: f64 = weights.iter().sum();
-    demands
-        .iter()
-        .zip(slices.iter())
-        .map(|(d, slice)| {
-            let share = d.weight / total;
-            match allocate_chunks(slice, d.k, d.chunks_per_partition) {
-                Ok(assignment) => SharedAssignment {
-                    assignment,
-                    share,
-                    degraded: false,
-                },
-                Err(_) => SharedAssignment {
-                    assignment: full_over_available(speeds, d.k, d.chunks_per_partition),
-                    share,
-                    degraded: true,
-                },
-            }
-        })
-        .collect()
-}
-
-/// One job's weighted slice of the shared allocation — identical to the
-/// matching entry of [`allocate_shared`] for a resident set whose
-/// weights sum to `total_weight` (jobs start iterations at different
-/// instants, so the engine only ever needs its own slice; recomputing
-/// every neighbour's assignment would be `O(residents)` wasted work).
+/// One job's weighted slice of the shared allocation: Algorithm 1 on
+/// the job's [`split_worker_capacity`] slice of the pool, for a resident
+/// set whose weights sum to `total_weight`. Jobs start iterations at
+/// different instants, so the engine only ever needs its own slice —
+/// the pool is split two ways (this job vs everyone else), which cuts
+/// the same slice an all-resident split would.
 ///
 /// `weight` is this job's capacity weight; `total_weight` is the sum
-/// over the whole resident set (including this job). The slice is cut
-/// with the same [`split_worker_capacity`] hook [`allocate_shared`]
-/// uses, so the two entry points cannot drift apart.
+/// over the whole resident set (including this job).
 ///
 /// # Panics
 ///
@@ -165,32 +118,27 @@ pub fn allocate_for_resident(
 mod tests {
     use super::*;
 
+    /// `(k, chunks_per_partition, weight)` per resident job.
+    type Demand = (usize, usize, f64);
+
+    /// Every resident's slice, each cut against the set's total weight.
+    fn allocate_all(speeds: &[f64], demands: &[Demand]) -> Vec<SharedAssignment> {
+        let total: f64 = demands.iter().map(|d| d.2).sum();
+        demands
+            .iter()
+            .map(|&(k, chunks, weight)| allocate_for_resident(speeds, k, chunks, weight, total))
+            .collect()
+    }
+
     #[test]
     fn every_resident_job_keeps_exact_coverage() {
         let speeds = [1.0, 0.9, 0.2, 1.1, 0.7, 0.0, 0.8, 1.0];
-        let demands = [
-            JobDemand {
-                k: 4,
-                chunks_per_partition: 8,
-                weight: 1.0,
-            },
-            JobDemand {
-                k: 6,
-                chunks_per_partition: 5,
-                weight: 1.0,
-            },
-            JobDemand {
-                k: 2,
-                chunks_per_partition: 12,
-                weight: 2.0,
-            },
-        ];
-        let out = allocate_shared(&speeds, &demands);
-        assert_eq!(out.len(), 3);
-        for (d, s) in demands.iter().zip(out.iter()) {
+        let demands = [(4, 8, 1.0), (6, 5, 1.0), (2, 12, 2.0)];
+        let out = allocate_all(&speeds, &demands);
+        for (&(k, _, _), s) in demands.iter().zip(out.iter()) {
             assert!(!s.degraded);
-            assert!(s.assignment.is_decodable(), "k={} lost coverage", d.k);
-            assert_eq!(s.assignment.k, d.k);
+            assert!(s.assignment.is_decodable(), "k={k} lost coverage");
+            assert_eq!(s.assignment.k, k);
         }
         let share_sum: f64 = out.iter().map(|s| s.share).sum();
         assert!((share_sum - 1.0).abs() < 1e-12);
@@ -201,14 +149,8 @@ mod tests {
     fn shared_shape_matches_dedicated_shape() {
         // Scale invariance: sharing the pool changes rates, not shapes.
         let speeds = [1.0, 0.5, 0.9, 0.3, 1.2, 0.8];
-        let demand = JobDemand {
-            k: 3,
-            chunks_per_partition: 9,
-            weight: 1.0,
-        };
-        let shared = allocate_shared(&speeds, &[demand, demand, demand]);
         let dedicated = allocate_chunks(&speeds, 3, 9).unwrap();
-        for s in &shared {
+        for s in allocate_all(&speeds, &[(3, 9, 1.0); 3]) {
             assert_eq!(s.assignment, dedicated);
         }
     }
@@ -217,19 +159,7 @@ mod tests {
     fn infeasible_job_degrades_alone() {
         // Only 3 workers alive: the k=5 job degrades, the k=2 job does not.
         let speeds = [1.0, 0.0, 0.8, 0.0, 0.0, 0.9];
-        let demands = [
-            JobDemand {
-                k: 5,
-                chunks_per_partition: 4,
-                weight: 1.0,
-            },
-            JobDemand {
-                k: 2,
-                chunks_per_partition: 4,
-                weight: 1.0,
-            },
-        ];
-        let out = allocate_shared(&speeds, &demands);
+        let out = allocate_all(&speeds, &[(5, 4, 1.0), (2, 4, 1.0)]);
         assert!(out[0].degraded);
         assert!(!out[1].degraded);
         assert!(out[1].assignment.is_decodable());
@@ -242,62 +172,41 @@ mod tests {
 
     #[test]
     fn single_resident_slice_matches_shared_entry() {
+        // Equal weights: the two-way cut is the first entry of a split
+        // across every resident.
         let speeds = [1.0, 0.4, 0.0, 0.9, 0.7];
         for residents in 1..=4 {
-            let demands: Vec<JobDemand> = (0..residents)
-                .map(|_| JobDemand {
-                    k: 2,
-                    chunks_per_partition: 6,
-                    weight: 1.0,
-                })
-                .collect();
-            let shared = allocate_shared(&speeds, &demands);
+            let slices = split_worker_capacity(&speeds, &vec![1.0; residents]);
             let solo = allocate_for_resident(&speeds, 2, 6, 1.0, residents as f64);
-            assert_eq!(solo, shared[0], "{residents} residents");
+            assert!((solo.share - 1.0 / residents as f64).abs() < 1e-12);
+            assert_eq!(
+                solo.assignment,
+                allocate_chunks(&slices[0], 2, 6).unwrap(),
+                "{residents} residents"
+            );
         }
-        // Degrade path agrees too (k above alive count).
+        // Degrade path (k above alive count): full assignment over the
+        // alive workers.
         let degraded = allocate_for_resident(&speeds, 5, 6, 1.0, 2.0);
         assert!(degraded.degraded);
-        assert_eq!(
-            degraded,
-            allocate_shared(
-                &speeds,
-                &[JobDemand {
-                    k: 5,
-                    chunks_per_partition: 6,
-                    weight: 1.0
-                }; 2]
-            )[0]
-        );
+        assert_eq!(degraded.assignment, full_over_available(&speeds, 5, 6));
     }
 
     #[test]
     fn weighted_resident_slice_matches_shared_entry() {
-        // A weight-2 job among total weight 4: its slice and share must
-        // match the allocate_shared entry built from the full demand set.
+        // Each job's two-way cut against total weight 4 matches its entry
+        // of the split across the full demand set.
         let speeds = [1.0, 0.4, 0.0, 0.9, 0.7, 1.1];
-        let demands = [
-            JobDemand {
-                k: 2,
-                chunks_per_partition: 6,
-                weight: 2.0,
-            },
-            JobDemand {
-                k: 3,
-                chunks_per_partition: 4,
-                weight: 1.5,
-            },
-            JobDemand {
-                k: 2,
-                chunks_per_partition: 5,
-                weight: 0.5,
-            },
-        ];
-        let shared = allocate_shared(&speeds, &demands);
-        for (i, d) in demands.iter().enumerate() {
-            let solo = allocate_for_resident(&speeds, d.k, d.chunks_per_partition, d.weight, 4.0);
-            assert!((solo.share - shared[i].share).abs() < 1e-12, "job {i}");
-            assert_eq!(solo.assignment, shared[i].assignment, "job {i}");
+        let demands = [(2, 6, 2.0), (3, 4, 1.5), (2, 5, 0.5)];
+        let slices = split_worker_capacity(&speeds, &[2.0, 1.5, 0.5]);
+        for (i, (s, &(k, chunks, weight))) in allocate_all(&speeds, &demands)
+            .iter()
+            .zip(&demands)
+            .enumerate()
+        {
+            assert!((s.share - weight / 4.0).abs() < 1e-12, "job {i}");
+            let entry = allocate_chunks(&slices[i], k, chunks).unwrap();
+            assert_eq!(s.assignment, entry, "job {i}");
         }
         // Sole resident gets the full pool regardless of weight.
         let solo = allocate_for_resident(&speeds, 2, 6, 3.0, 3.0);

@@ -88,7 +88,7 @@ impl JobSpec {
 
 /// FNV-1a over a byte string — the stable default matrix identity for a
 /// preset name (no hasher-randomization, reproducible across runs).
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -18,7 +18,7 @@ use s2c2_core::speed_tracker::PredictorSource;
 use s2c2_core::split_worker_capacity;
 use s2c2_serve::event::{EventKind, EventQueue};
 use s2c2_serve::prelude::*;
-use s2c2_serve::shared_alloc::{allocate_shared, JobDemand};
+use s2c2_serve::shared_alloc::allocate_for_resident;
 
 /// A pool's worth of worker speeds with churn: some workers up at
 /// various speeds, some churned out (zero).
@@ -108,37 +108,37 @@ proptest! {
     ) {
         let speeds = &seedspeeds[..n];
         let alive = speeds.iter().filter(|&&s| s > 0.0).count();
-        let demands: Vec<JobDemand> = mix
+        // Every resident's slice, cut against the set's total weight.
+        let total_weight: f64 = mix.iter().map(|&(_, _, weight)| weight).sum();
+        let demands: Vec<(usize, usize, f64)> = mix
             .iter()
-            .map(|&(k, chunks, weight)| JobDemand {
-                k: k.min(n),
-                chunks_per_partition: chunks,
-                weight,
+            .map(|&(k, chunks, weight)| (k.min(n), chunks, weight))
+            .collect();
+        let out: Vec<_> = demands
+            .iter()
+            .map(|&(k, chunks, weight)| {
+                allocate_for_resident(speeds, k, chunks, weight, total_weight)
             })
             .collect();
-        let out = allocate_shared(speeds, &demands);
-        prop_assert_eq!(out.len(), demands.len());
 
         let share_sum: f64 = out.iter().map(|s| s.share).sum();
         prop_assert!((share_sum - 1.0).abs() < 1e-9, "shares must sum to 1");
         // Shares are weight-proportional: share_j · Σw == w_j.
-        let total_weight: f64 = demands.iter().map(|d| d.weight).sum();
-        for (d, s) in demands.iter().zip(out.iter()) {
+        for (&(_, _, weight), s) in demands.iter().zip(out.iter()) {
             prop_assert!(
-                (s.share * total_weight - d.weight).abs() < 1e-9 * total_weight,
-                "share {} disagrees with weight {} / {total_weight}",
+                (s.share * total_weight - weight).abs() < 1e-9 * total_weight,
+                "share {} disagrees with weight {weight} / {total_weight}",
                 s.share,
-                d.weight
             );
         }
 
-        for (d, s) in demands.iter().zip(out.iter()) {
-            if d.k <= alive {
+        for (&(k, chunks, _), s) in demands.iter().zip(out.iter()) {
+            if k <= alive {
                 // Feasible job: exactly-k coverage survives sharing + churn.
-                prop_assert!(!s.degraded, "k={} alive={alive} needlessly degraded", d.k);
-                prop_assert!(s.assignment.is_decodable(), "coverage broken for k={}", d.k);
+                prop_assert!(!s.degraded, "k={k} alive={alive} needlessly degraded");
+                prop_assert!(s.assignment.is_decodable(), "coverage broken for k={k}");
                 let cov = s.assignment.coverage();
-                prop_assert!(cov.iter().all(|&c| c == d.k));
+                prop_assert!(cov.iter().all(|&c| c == k));
                 // Churned-out workers never receive chunks.
                 for (w, &sp) in speeds.iter().enumerate() {
                     if sp == 0.0 {
@@ -148,9 +148,9 @@ proptest! {
             } else {
                 // Infeasible job: degrades to conventional full assignment
                 // over the available workers, alone.
-                prop_assert!(s.degraded, "k={} alive={alive} must degrade", d.k);
+                prop_assert!(s.degraded, "k={k} alive={alive} must degrade");
                 for (w, &sp) in speeds.iter().enumerate() {
-                    let expect = if sp > 0.0 { d.chunks_per_partition } else { 0 };
+                    let expect = if sp > 0.0 { chunks } else { 0 };
                     prop_assert_eq!(s.assignment.chunks[w].len(), expect);
                 }
             }
@@ -192,11 +192,10 @@ proptest! {
         let alive = speeds.iter().filter(|&&s| s > 0.0).count();
         prop_assume!(alive >= 2);
         // One certainly-infeasible job next to one certainly-feasible job.
-        let demands = [
-            JobDemand { k: n, chunks_per_partition: chunks, weight: 1.0 },
-            JobDemand { k: 1, chunks_per_partition: chunks, weight: 1.0 },
+        let out = [
+            allocate_for_resident(speeds, n, chunks, 1.0, 2.0),
+            allocate_for_resident(speeds, 1, chunks, 1.0, 2.0),
         ];
-        let out = allocate_shared(speeds, &demands);
         if alive < n {
             prop_assert!(out[0].degraded);
         }

@@ -292,12 +292,6 @@ impl TraceBuffer {
         self.events.is_empty()
     }
 
-    /// Consume the buffer, yielding the event vector.
-    #[must_use]
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-
     /// Count of [`TraceEventKind::RecoveryRung`] events per rung,
     /// indexed `[rung-1]` — the trace-side mirror of
     /// `ServiceReport::recovery_rung_counts`.

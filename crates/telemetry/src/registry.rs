@@ -150,11 +150,6 @@ impl MetricsRegistry {
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&k, &v)| (k, v))
     }
-
-    /// All series names in deterministic order.
-    pub fn series_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.series.keys().copied()
-    }
 }
 
 /// Resident-set size of the current process in bytes, read from
