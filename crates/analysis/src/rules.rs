@@ -207,7 +207,7 @@ pub fn rules() -> &'static [RuleSpec] {
         },
         RuleSpec {
             name: "api-surface-audit",
-            summary: "advisory: unreferenced pub items and unresolved facade re-exports",
+            summary: "unreferenced pub items and unresolved facade re-exports",
             help: "re-export from the facade, demote to pub(crate), or delete",
             include: &["crates/", "src/"],
             exclude: &["vendor/"],

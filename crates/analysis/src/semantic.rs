@@ -21,10 +21,10 @@
 //! * `stale-waiver` — a justified waiver that no longer covers any
 //!   finding of its rule is itself a deny finding, so the waiver
 //!   inventory can only shrink.
-//! * `api-surface-audit` (advisory) — unrestricted `pub` items no other
-//!   workspace file references, plus facade/prelude re-exports that do
-//!   not resolve to any workspace item; inventory exported to
-//!   `results/api_surface.json`.
+//! * `api-surface-audit` — unrestricted `pub` items no other workspace
+//!   file references, plus facade/prelude re-exports that do not
+//!   resolve to any workspace item, are deny findings; inventory
+//!   exported to `results/api_surface.json`.
 
 use crate::call_graph::{self, CallGraph, FileForGraph};
 use crate::item_tree::{self, ItemTree};
@@ -402,7 +402,7 @@ pub fn analyze_workspace_sources(files: &[(String, String)]) -> WorkspaceAnalysi
         }
     }
 
-    // --- Rule 5 (advisory): api-surface-audit ---------------------------
+    // --- Rule 5: api-surface-audit ---------------------------------------
     {
         // Which files mention which identifiers, and how often — the
         // reference index.
@@ -461,7 +461,7 @@ pub fn analyze_workspace_sources(files: &[(String, String)]) -> WorkspaceAnalysi
                         &mut per_file,
                         files,
                         "api-surface-audit",
-                        Severity::Warn,
+                        Severity::Deny,
                         format!(
                             "pub {} `{}` is referenced by no other workspace file",
                             item.kind.tag(),
@@ -495,7 +495,7 @@ pub fn analyze_workspace_sources(files: &[(String, String)]) -> WorkspaceAnalysi
                         &mut per_file,
                         files,
                         "api-surface-audit",
-                        Severity::Warn,
+                        Severity::Deny,
                         format!(
                             "re-export `{}` (from `{}`) resolves to no known workspace item",
                             re.name, re.path
@@ -1578,7 +1578,7 @@ mod tests {
         assert!(
             warns
                 .iter()
-                .any(|f| f.message.contains("orphan_api") && f.severity == Severity::Warn),
+                .any(|f| f.message.contains("orphan_api") && f.severity == Severity::Deny),
             "{warns:?}"
         );
         assert!(!warns.iter().any(|f| f.message.contains("used_api")));
@@ -1592,15 +1592,14 @@ mod tests {
     }
 
     #[test]
-    fn unresolved_reexport_is_advisory() {
+    fn unresolved_reexport_is_denied() {
         let out = ws(&[(
             "src/lib.rs",
             "pub use s2c2_serve::NoSuchThing;\npub fn f() -> u8 { 1 }\n",
         )]);
-        assert!(out
-            .findings
-            .iter()
-            .any(|f| f.rule == "api-surface-audit" && f.message.contains("NoSuchThing")));
+        assert!(out.findings.iter().any(|f| f.rule == "api-surface-audit"
+            && f.message.contains("NoSuchThing")
+            && f.severity == Severity::Deny));
     }
 
     #[test]

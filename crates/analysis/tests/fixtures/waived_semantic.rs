@@ -10,7 +10,7 @@ pub enum EventKind {
     BatchFlush,
 }
 
-pub fn interpret(k: EventKind) -> u32 {
+pub(crate) fn interpret(k: EventKind) -> u32 {
     match k {
         EventKind::JobArrival => 1,
         // s2c2-allow: exhaustive-event-match -- fixture: forwarding shim, variants handled downstream
@@ -19,7 +19,7 @@ pub fn interpret(k: EventKind) -> u32 {
 }
 
 // s2c2-allow: no-unordered-iteration -- fixture: keyed lookups only, never iterated in order
-pub fn total(weights: &HashMap<u32, f64>) -> f64 {
+pub(crate) fn total(weights: &HashMap<u32, f64>) -> f64 {
     // s2c2-allow: unordered-float-reduction -- fixture: all weights are equal so order cannot matter
     weights.values().sum::<f64>()
 }

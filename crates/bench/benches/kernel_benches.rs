@@ -1,27 +1,36 @@
 //! Per-kernel regression benches for the batch-first kernel layer.
 //!
-//! Three comparisons, each pairing the production kernel with the obvious
+//! Five comparisons, each pairing the production kernel with the obvious
 //! reference it replaced:
 //!
 //! * **blocked vs naive** — the cache-blocked/unrolled single-RHS `matvec`
 //!   against a plain serial dot-product loop.
+//! * **four-row vs per-row** — the same single-RHS `matvec`, which
+//!   advances four rows per step, against one `dot_slices` call per row
+//!   (the kernel it replaced; bit-identical results).
 //! * **multi-RHS vs m× single** — one `matvec_multi` over a contiguous
 //!   [`MultiVector`] against `m` independent `matvec` calls (the old
 //!   per-member serve path).
 //! * **fused vs two-pass** — `encode_matvec_multi` (parity products as
 //!   generator-weighted combinations of systematic products) against
 //!   materializing the parity partitions and multiplying every one.
+//! * **GEMM-order vs scalar RHS decode** — `decode_matvec_slices` of one
+//!   `(64, 48)` round against a bench-local copy of the decoder whose
+//!   parity right-hand side was built one element at a time, re-deriving
+//!   each known block's output offset per element (bit-identical
+//!   results, checked before timing).
 //!
 //! Runs as a custom `harness = false` binary:
 //!
 //! * `cargo bench -p s2c2-bench --bench kernel_benches` — full sweep.
 //! * `-- --save` — also rewrites `BENCH_KERNELS.json` at the repo root.
-//! * `-- --quick` — CI smoke: only the large preset, asserting the blocked
-//!   kernel is not slower than the naive reference.
+//! * `-- --quick` — CI smoke: the large matvec preset and the decode
+//!   round, asserting neither kernel is slower than its reference.
 
 use criterion::{black_box, Criterion};
-use s2c2_coding::{MdsCode, MdsParams};
-use s2c2_linalg::{Matrix, MultiVector, Vector};
+use s2c2_coding::{ChunkLayout, EncodedMatrix, MdsCode, MdsParams};
+use s2c2_linalg::vector::dot_slices;
+use s2c2_linalg::{LuFactors, Matrix, MultiVector, Vector};
 
 /// Problem sizes: name, rows, cols.
 const PRESETS: &[(&str, usize, usize)] = &[
@@ -67,6 +76,189 @@ fn bench_blocked_vs_naive(c: &mut Criterion, presets: &[(&str, usize, usize)]) {
         });
         c.bench_function(&format!("matvec_naive/{name}"), |b| {
             b.iter(|| naive_matvec(black_box(&a), black_box(&x)))
+        });
+        c.bench_function(&format!("matvec_dot_slices/{name}"), |b| {
+            b.iter(|| {
+                let (a, x) = (black_box(&a), black_box(&x));
+                Vector::from_fn(a.rows(), |r| dot_slices(a.row(r), x.as_slice()))
+            })
+        });
+    }
+}
+
+/// Code geometry of the decode bench: the `churn-pipelined` pool coded
+/// at `k = 0.75·n`, on the medium preset's shape.
+const DECODE_N: usize = 64;
+const DECODE_K: usize = 48;
+const DECODE_SHAPE: (usize, usize, usize) = (1200, 48, 10);
+/// Member counts of the decode bench: a solo round and a full batch.
+const DECODE_MEMBERS: &[usize] = &[1, 4];
+
+/// One encoded decode round: every worker's whole partition in one
+/// buffer, and the per-chunk coverage the round decodes from.
+struct DecodeRound {
+    code: MdsCode,
+    encoded: EncodedMatrix,
+    members: usize,
+    arena: Vec<f64>,
+    /// `cover[chunk]` — the responding workers, every chunk missing
+    /// eight systematic blocks that the parity workers make up.
+    cover: Vec<Vec<usize>>,
+}
+
+impl DecodeRound {
+    fn prepare(members: usize) -> Self {
+        let (rows, cols, chunks) = DECODE_SHAPE;
+        let code = MdsCode::new(MdsParams::new(DECODE_N, DECODE_K)).expect("valid params");
+        let encoded = code
+            .encode(&test_matrix(rows, cols), chunks)
+            .expect("encode");
+        let xs = test_multivector(members, cols);
+        let mut arena = Vec::new();
+        for w in 0..DECODE_N {
+            encoded.worker_compute_chunk_run_into(w, 0..chunks, &xs, &mut arena);
+        }
+        let cover = (0..chunks)
+            .map(|c| {
+                (0..DECODE_N)
+                    .filter(|&w| w >= DECODE_K || (w + c) % 6 != 0)
+                    .collect()
+            })
+            .collect();
+        DecodeRound {
+            code,
+            encoded,
+            members,
+            arena,
+            cover,
+        }
+    }
+
+    fn layout(&self) -> &ChunkLayout {
+        self.encoded.layout()
+    }
+
+    /// The decoder's input: per chunk, `(worker, block)` views of the arena.
+    fn lists(&self) -> Vec<Vec<(usize, &[f64])>> {
+        let layout = self.layout();
+        let width = layout.rows_per_chunk() * self.members;
+        let per_worker = layout.chunks_per_partition * width;
+        self.cover
+            .iter()
+            .enumerate()
+            .map(|(chunk, ws)| {
+                ws.iter()
+                    .map(|&w| {
+                        let off = w * per_worker + chunk * width;
+                        (w, &self.arena[off..off + width])
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// The reference decoder: the stacked decode with the parity right-hand
+/// side built element by element — for every (parity row, column), a
+/// scan over all `k` blocks that tests `have[j]` and re-derives block
+/// `j`'s output offset. Returns the member-major padded output.
+fn decode_scalar_rhs(
+    parity: &Matrix,
+    k: usize,
+    layout: &ChunkLayout,
+    per_chunk: Vec<Vec<(usize, &[f64])>>,
+    members: usize,
+) -> Vec<f64> {
+    let rpc = layout.rows_per_chunk();
+    let padded = layout.padded_rows;
+    let width = rpc * members;
+    let mut out = vec![0.0; members * padded];
+    for (chunk, mut resps) in per_chunk.into_iter().enumerate() {
+        assert!(resps.len() >= k, "chunk {chunk} under-covered");
+        resps.sort_by_key(|r| r.0);
+        resps.truncate(k);
+        let mut have = vec![false; k];
+        for &(w, vals) in &resps {
+            if w < k {
+                have[w] = true;
+                let dst = layout.output_range(w, chunk);
+                for (col, &v) in vals[..width].iter().enumerate() {
+                    out[(col % members) * padded + dst.start + col / members] = v;
+                }
+            }
+        }
+        let missing: Vec<usize> = (0..k).filter(|j| !have[*j]).collect();
+        if missing.is_empty() {
+            continue;
+        }
+        let parity_resps: Vec<(usize, &[f64])> =
+            resps.iter().copied().filter(|r| r.0 >= k).collect();
+        let m = missing.len();
+        let sys = Matrix::from_fn(m, m, |pi, mj| {
+            parity.get(parity_resps[pi].0 - k, missing[mj])
+        });
+        let lu = LuFactors::factor(&sys).expect("nonsingular parity subsystem");
+        let mut rhs = Vec::with_capacity(m * width);
+        for &(pw, vals) in &parity_resps {
+            let prow_idx = pw - k;
+            for (col, &pv) in vals[..width].iter().enumerate() {
+                let base = (col % members) * padded + col / members;
+                let mut v = pv;
+                for j in 0..k {
+                    if have[j] {
+                        let known = out[base + layout.output_range(j, chunk).start];
+                        v -= parity.get(prow_idx, j) * known;
+                    }
+                }
+                rhs.push(v);
+            }
+        }
+        let solved = lu.solve_matrix(&Matrix::from_flat(m, width, rhs));
+        for (mi, &j) in missing.iter().enumerate() {
+            let dst = layout.output_range(j, chunk);
+            for col in 0..width {
+                out[(col % members) * padded + dst.start + col / members] = solved.get(mi, col);
+            }
+        }
+    }
+    out
+}
+
+fn bench_decode(c: &mut Criterion) {
+    for &members in DECODE_MEMBERS {
+        let round = DecodeRound::prepare(members);
+        let layout = round.layout();
+        let parity = Matrix::from_fn(DECODE_N - DECODE_K, DECODE_K, |p, j| {
+            round.code.generator_row(DECODE_K + p)[j]
+        });
+        // The two decoders must agree bit for bit before either is timed.
+        let fast = round
+            .code
+            .decode_matvec_slices(layout, round.lists(), members)
+            .expect("decode");
+        let slow = decode_scalar_rhs(&parity, DECODE_K, layout, round.lists(), members);
+        for (m, y) in fast.iter().enumerate() {
+            let padded = &slow[m * layout.padded_rows..][..layout.original_rows];
+            assert!(
+                y.as_slice()
+                    .iter()
+                    .zip(padded)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "decoders disagree on member {m}"
+            );
+        }
+        c.bench_function(&format!("decode_gemm_rhs/n64k48/m{members}"), |b| {
+            b.iter(|| {
+                round
+                    .code
+                    .decode_matvec_slices(layout, black_box(round.lists()), members)
+                    .expect("decode")
+            })
+        });
+        c.bench_function(&format!("decode_scalar_rhs/n64k48/m{members}"), |b| {
+            b.iter(|| {
+                decode_scalar_rhs(&parity, DECODE_K, layout, black_box(round.lists()), members)
+            })
         });
     }
 }
@@ -148,6 +340,17 @@ fn write_report(c: &Criterion, path: &std::path::Path) {
         );
     }
     for &(name, _, _) in PRESETS {
+        let rows4 = median_ns(c, &format!("matvec_blocked/{name}"));
+        let per_row = median_ns(c, &format!("matvec_dot_slices/{name}"));
+        push_row(
+            &format!("matvec_single/{name}"),
+            "rows4",
+            "dot_slices",
+            rows4,
+            per_row,
+        );
+    }
+    for &(name, _, _) in PRESETS {
         for &m in RHS_COUNTS {
             let multi = median_ns(c, &format!("matvec_multi/{name}/m{m}"));
             let single = median_ns(c, &format!("matvec_single_x{m}/{name}/m{m}"));
@@ -169,6 +372,17 @@ fn write_report(c: &Criterion, path: &std::path::Path) {
             "two_pass",
             fused,
             two_pass,
+        );
+    }
+    for &m in DECODE_MEMBERS {
+        let gemm = median_ns(c, &format!("decode_gemm_rhs/n64k48/m{m}"));
+        let scalar = median_ns(c, &format!("decode_scalar_rhs/n64k48/m{m}"));
+        push_row(
+            &format!("decode/n64k48/m{m}"),
+            "gemm_rhs",
+            "scalar_rhs",
+            gemm,
+            scalar,
         );
     }
     let json = format!(
@@ -204,12 +418,27 @@ fn main() {
             blocked <= naive * 1.10,
             "blocked matvec ({blocked:.0} ns) slower than naive reference ({naive:.0} ns)"
         );
+        // Same margin for the decoder against its scalar-RHS reference.
+        bench_decode(&mut c);
+        for &m in DECODE_MEMBERS {
+            let gemm = median_ns(&c, &format!("decode_gemm_rhs/n64k48/m{m}"));
+            let scalar = median_ns(&c, &format!("decode_scalar_rhs/n64k48/m{m}"));
+            println!(
+                "quick check: decode m{m} {gemm:.0} ns vs scalar-RHS reference {scalar:.0} ns ({:.2}x)",
+                scalar / gemm
+            );
+            assert!(
+                gemm <= scalar * 1.10,
+                "decode m{m} ({gemm:.0} ns) slower than the scalar-RHS reference ({scalar:.0} ns)"
+            );
+        }
         return;
     }
 
     bench_blocked_vs_naive(&mut c, PRESETS);
     bench_multi_vs_single(&mut c);
     bench_fused_vs_two_pass(&mut c);
+    bench_decode(&mut c);
 
     if save {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -216,58 +216,112 @@ impl MultiChunkResult {
     }
 }
 
+/// Borrowed stacked blocks grouped by chunk: entry `chunk` lists the
+/// `(worker, block)` pairs that cover it, each block a `rows_per_chunk ×
+/// members` slice (chunk-row-major, member-minor). The input form of
+/// the stacked decoder.
+pub type BlocksByChunk<'a> = Vec<Vec<(usize, &'a [f64])>>;
+
+/// O(1) duplicate detection over `(worker, chunk)` pairs: one flag per
+/// pair of an `n`-worker, `chunks`-chunk geometry.
+pub(crate) struct SeenPairs {
+    workers: usize,
+    seen: Vec<bool>,
+}
+
+impl SeenPairs {
+    pub(crate) fn new(workers: usize, chunks: usize) -> Self {
+        SeenPairs {
+            workers,
+            seen: vec![false; workers * chunks],
+        }
+    }
+
+    /// Marks `(worker, chunk)` seen; both indices must already be
+    /// bounds-checked.
+    ///
+    /// # Errors
+    ///
+    /// [`CodingError::DuplicateResponse`] if the pair was seen before.
+    pub(crate) fn insert(&mut self, worker: usize, chunk: usize) -> Result<(), CodingError> {
+        let slot = &mut self.seen[chunk * self.workers + worker];
+        if *slot {
+            return Err(CodingError::DuplicateResponse { worker, chunk });
+        }
+        *slot = true;
+        Ok(())
+    }
+}
+
+/// Rejects a worker id outside an `n`-worker code.
+pub(crate) fn check_worker(worker: usize, workers: usize) -> Result<(), CodingError> {
+    if worker >= workers {
+        return Err(CodingError::MalformedResponse(format!(
+            "worker {worker} out of range (n = {workers})"
+        )));
+    }
+    Ok(())
+}
+
+fn check_chunk(chunk: usize, layout: &ChunkLayout) -> Result<(), CodingError> {
+    if chunk >= layout.chunks_per_partition {
+        return Err(CodingError::MalformedResponse(format!(
+            "chunk {chunk} out of range ({} chunks per partition)",
+            layout.chunks_per_partition
+        )));
+    }
+    Ok(())
+}
+
+/// Rejects a stacked payload that is not `rows_per_chunk × members`
+/// values long.
+pub(crate) fn check_stacked_payload(
+    len: usize,
+    rows_per_chunk: usize,
+    members: usize,
+) -> Result<(), CodingError> {
+    if len != rows_per_chunk * members {
+        return Err(CodingError::MalformedResponse(format!(
+            "stacked payload has {len} values, expected {}",
+            rows_per_chunk * members
+        )));
+    }
+    Ok(())
+}
+
 /// Groups stacked blocks by chunk, validating worker/chunk bounds, a
 /// uniform member count, payload length, and duplicate `(worker, chunk)`
 /// pairs — the block-layout counterpart of [`group_by_chunk`].
 ///
-/// Returns `per_chunk[chunk] = Vec<&MultiChunkResult>`.
+/// Returns `per_chunk[chunk] = Vec<(worker, values)>`, the borrowed form
+/// the stacked decoder consumes.
 ///
 /// # Errors
 ///
 /// [`CodingError::MalformedResponse`] on out-of-range indices, a member
 /// count differing from `members`, or wrong payload length;
 /// [`CodingError::DuplicateResponse`] on duplicates.
-pub fn group_blocks_by_chunk<'a>(
+pub(crate) fn group_blocks_by_chunk<'a>(
     responses: &'a [MultiChunkResult],
     workers: usize,
     layout: &ChunkLayout,
     members: usize,
     rows_per_chunk: usize,
-) -> Result<Vec<Vec<&'a MultiChunkResult>>, CodingError> {
-    let mut per_chunk: Vec<Vec<&MultiChunkResult>> = vec![Vec::new(); layout.chunks_per_partition];
+) -> Result<BlocksByChunk<'a>, CodingError> {
+    let mut per_chunk: BlocksByChunk<'a> = vec![Vec::new(); layout.chunks_per_partition];
+    let mut seen = SeenPairs::new(workers, layout.chunks_per_partition);
     for r in responses {
-        if r.worker >= workers {
-            return Err(CodingError::MalformedResponse(format!(
-                "worker {} out of range (n = {workers})",
-                r.worker
-            )));
-        }
-        if r.chunk >= layout.chunks_per_partition {
-            return Err(CodingError::MalformedResponse(format!(
-                "chunk {} out of range ({} chunks per partition)",
-                r.chunk, layout.chunks_per_partition
-            )));
-        }
+        check_worker(r.worker, workers)?;
+        check_chunk(r.chunk, layout)?;
         if r.members != members {
             return Err(CodingError::MalformedResponse(format!(
                 "stacked block has {} members, expected {members}",
                 r.members
             )));
         }
-        if r.values.len() != rows_per_chunk * members {
-            return Err(CodingError::MalformedResponse(format!(
-                "stacked payload has {} values, expected {}",
-                r.values.len(),
-                rows_per_chunk * members
-            )));
-        }
-        if per_chunk[r.chunk].iter().any(|e| e.worker == r.worker) {
-            return Err(CodingError::DuplicateResponse {
-                worker: r.worker,
-                chunk: r.chunk,
-            });
-        }
-        per_chunk[r.chunk].push(r);
+        check_stacked_payload(r.values.len(), rows_per_chunk, members)?;
+        seen.insert(r.worker, r.chunk)?;
+        per_chunk[r.chunk].push((r.worker, r.values.as_slice()));
     }
     Ok(per_chunk)
 }
@@ -288,31 +342,17 @@ pub fn group_by_chunk<'a>(
     values_per_chunk: usize,
 ) -> Result<Vec<Vec<&'a WorkerChunkResult>>, CodingError> {
     let mut per_chunk: Vec<Vec<&WorkerChunkResult>> = vec![Vec::new(); layout.chunks_per_partition];
+    let mut seen = SeenPairs::new(workers, layout.chunks_per_partition);
     for r in responses {
-        if r.worker >= workers {
-            return Err(CodingError::MalformedResponse(format!(
-                "worker {} out of range (n = {workers})",
-                r.worker
-            )));
-        }
-        if r.chunk >= layout.chunks_per_partition {
-            return Err(CodingError::MalformedResponse(format!(
-                "chunk {} out of range ({} chunks per partition)",
-                r.chunk, layout.chunks_per_partition
-            )));
-        }
+        check_worker(r.worker, workers)?;
+        check_chunk(r.chunk, layout)?;
         if r.values.len() != values_per_chunk {
             return Err(CodingError::MalformedResponse(format!(
                 "chunk payload has {} values, expected {values_per_chunk}",
                 r.values.len()
             )));
         }
-        if per_chunk[r.chunk].iter().any(|e| e.worker == r.worker) {
-            return Err(CodingError::DuplicateResponse {
-                worker: r.worker,
-                chunk: r.chunk,
-            });
-        }
+        seen.insert(r.worker, r.chunk)?;
         per_chunk[r.chunk].push(r);
     }
     Ok(per_chunk)

@@ -24,13 +24,15 @@
 //! every configuration the paper evaluates).
 
 use crate::chunks::{
-    group_blocks_by_chunk, group_by_chunk, ChunkLayout, MultiChunkResult, WorkerChunkResult,
+    check_stacked_payload, check_worker, group_blocks_by_chunk, group_by_chunk, BlocksByChunk,
+    ChunkLayout, MultiChunkResult, SeenPairs, WorkerChunkResult,
 };
 use crate::error::CodingError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s2c2_linalg::multivector::ROW_BLOCK_ELEMS;
 use s2c2_linalg::{LuFactors, Matrix, MultiVector, Vector};
+use std::ops::Range;
 
 /// `(n, k)` MDS code parameters: `n` workers, any `k` responses decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,23 +288,61 @@ impl MdsCode {
         };
         let members = first.members;
         let rpc = layout.rows_per_chunk();
-        let per_chunk = group_blocks_by_chunk(responses, self.params.n, layout, members, rpc)?
-            .into_iter()
-            .map(|rs| {
-                rs.into_iter()
-                    .map(|r| (r.worker, r.values.as_slice()))
-                    .collect()
-            })
-            .collect();
+        let per_chunk = group_blocks_by_chunk(responses, self.params.n, layout, members, rpc)?;
         let out = self.decode_stacked(layout, per_chunk, members)?;
-        let padded = layout.padded_rows;
-        Ok((0..members)
-            .map(|mem| {
-                let mut v = out[mem * padded..(mem + 1) * padded].to_vec();
-                v.truncate(layout.original_rows);
-                Vector::from(v)
-            })
-            .collect())
+        Ok(member_outputs(&out, layout, members))
+    }
+
+    /// Decodes `A·x_m` for every member of a stacked batch from borrowed
+    /// blocks already grouped by chunk: `per_chunk[chunk]` lists
+    /// `(worker, values)` pairs whose `values` are `rows_per_chunk ×
+    /// members` blocks (chunk-row-major, member-minor).
+    ///
+    /// This is the slice-fed form of [`Self::decode_matvec_multi`]: a
+    /// caller that computed every block into one buffer hands the
+    /// decoder views of it, with no per-block allocation and no
+    /// regrouping. Validation and decoding are the same, so outputs are
+    /// bit-identical to [`Self::decode_matvec_multi`] over the same
+    /// blocks.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decode_matvec_multi`]: [`CodingError::MalformedResponse`]
+    /// for an out-of-range worker, a payload that is not `rows_per_chunk
+    /// × members` long, zero members, or a list count other than
+    /// `chunks_per_partition`; [`CodingError::DuplicateResponse`] for a
+    /// worker listed twice under one chunk;
+    /// [`CodingError::NotEnoughResponses`] for a chunk with fewer than
+    /// `k` workers.
+    pub fn decode_matvec_slices(
+        &self,
+        layout: &ChunkLayout,
+        per_chunk: BlocksByChunk<'_>,
+        members: usize,
+    ) -> Result<Vec<Vector>, CodingError> {
+        if members == 0 {
+            return Err(CodingError::MalformedResponse(
+                "a stacked decode needs at least one member".into(),
+            ));
+        }
+        if per_chunk.len() != layout.chunks_per_partition {
+            return Err(CodingError::MalformedResponse(format!(
+                "{} chunk lists for {} chunks per partition",
+                per_chunk.len(),
+                layout.chunks_per_partition
+            )));
+        }
+        let rpc = layout.rows_per_chunk();
+        let mut seen = SeenPairs::new(self.params.n, layout.chunks_per_partition);
+        for (chunk, resps) in per_chunk.iter().enumerate() {
+            for &(worker, values) in resps {
+                check_worker(worker, self.params.n)?;
+                check_stacked_payload(values.len(), rpc, members)?;
+                seen.insert(worker, chunk)?;
+            }
+        }
+        let out = self.decode_stacked(layout, per_chunk, members)?;
+        Ok(member_outputs(&out, layout, members))
     }
 
     /// The shared stacked decode core.
@@ -315,13 +355,23 @@ impl MdsCode {
     fn decode_stacked(
         &self,
         layout: &ChunkLayout,
-        per_chunk: Vec<Vec<(usize, &[f64])>>,
+        per_chunk: BlocksByChunk<'_>,
         members: usize,
     ) -> Result<Vec<f64>, CodingError> {
         let k = self.params.k;
         let rpc = layout.rows_per_chunk();
         let padded = layout.padded_rows;
         let width = rpc * members;
+
+        // Scatters one chunk-row-major, member-minor block into the
+        // member-major output at padded row `start`.
+        let place = |out: &mut [f64], start: usize, block: &[f64]| {
+            for (r, row) in block.chunks_exact(members).enumerate() {
+                for (mem, &v) in row.iter().enumerate() {
+                    out[mem * padded + start + r] = v;
+                }
+            }
+        };
 
         let mut out = vec![0.0; members * padded];
         for (chunk, mut resps) in per_chunk.into_iter().enumerate() {
@@ -333,61 +383,51 @@ impl MdsCode {
                 });
             }
             // Deterministic preference for systematic responses: they decode
-            // for free, minimizing the solve size.
-            resps.sort_by_key(|r| r.0);
+            // for free, minimizing the solve size. Worker ids within a
+            // chunk are distinct (callers validate), so the unstable sort
+            // is deterministic.
+            resps.sort_unstable_by_key(|r| r.0);
             resps.truncate(k);
 
-            // Place systematic results directly; collect missing blocks.
+            // Place systematic results directly. Sorting put them first,
+            // in ascending block order; the parity responses follow.
+            let known = resps.iter().take_while(|r| r.0 < k).count();
+            let (systematic, parity_resps) = resps.split_at(known);
             let mut have = vec![false; k];
-            for &(w, vals) in &resps {
-                if w < k {
-                    have[w] = true;
-                    let dst = layout.output_range(w, chunk);
-                    for (col, &v) in vals[..width].iter().enumerate() {
-                        out[(col % members) * padded + dst.start + col / members] = v;
-                    }
-                }
+            for &(j, vals) in systematic {
+                have[j] = true;
+                place(
+                    &mut out,
+                    layout.output_range(j, chunk).start,
+                    &vals[..width],
+                );
             }
-            let missing: Vec<usize> = (0..k).filter(|j| !have[*j]).collect();
-            if missing.is_empty() {
+            if parity_resps.is_empty() {
                 continue;
             }
-            let parity_resps: Vec<(usize, &[f64])> =
-                resps.iter().copied().filter(|r| r.0 >= k).collect();
-            debug_assert!(parity_resps.len() >= missing.len());
+            let missing: Vec<usize> = (0..k).filter(|j| !have[*j]).collect();
+            debug_assert_eq!(parity_resps.len(), missing.len());
 
             // Build the m×m generator subsystem over the missing
             // coordinates and factor it once for the whole stacked block.
             let m = missing.len();
-            let sys = Matrix::from_fn(m, m, |pi, mj| {
-                self.parity.get(parity_resps[pi].0 - k, missing[mj])
-            });
+            let coeffs: Vec<&[f64]> = parity_resps
+                .iter()
+                .map(|&(pw, _)| self.parity.row(pw - k))
+                .collect();
+            let sys = Matrix::from_fn(m, m, |pi, mj| coeffs[pi][missing[mj]]);
             let lu = LuFactors::factor(&sys).map_err(|_| CodingError::DecodeSingular { chunk })?;
 
-            // RHS: parity values minus contributions from known blocks —
-            // one column per (chunk row, member) pair, built flat and
-            // handed to the solver in one piece.
-            let mut rhs = Vec::with_capacity(m * width);
-            for &(pw, vals) in &parity_resps {
-                let prow_idx = pw - k;
-                for (col, &pv) in vals[..width].iter().enumerate() {
-                    let base = (col % members) * padded + col / members;
-                    let mut v = pv;
-                    for j in 0..k {
-                        if have[j] {
-                            let known = out[base + layout.output_range(j, chunk).start];
-                            v -= self.parity.get(prow_idx, j) * known;
-                        }
-                    }
-                    rhs.push(v);
-                }
-            }
+            // RHS: parity values minus contributions from known blocks,
+            // one column per (chunk row, member) pair.
+            let rhs = parity_rhs(parity_resps, &coeffs, systematic, width);
             let solved = lu.solve_matrix(&Matrix::from_flat(m, width, rhs));
             for (mi, &j) in missing.iter().enumerate() {
-                let dst = layout.output_range(j, chunk);
-                for col in 0..width {
-                    out[(col % members) * padded + dst.start + col / members] = solved.get(mi, col);
-                }
+                place(
+                    &mut out,
+                    layout.output_range(j, chunk).start,
+                    solved.row(mi),
+                );
             }
         }
         Ok(out)
@@ -494,6 +534,78 @@ impl MdsCode {
     }
 }
 
+/// Register tile of [`parity_rhs`]: parity rows × columns accumulated
+/// together.
+const RHS_TILE_ROWS: usize = 2;
+const RHS_TILE_COLS: usize = 4;
+
+/// The `m × width` parity right-hand side of one chunk's decode: row
+/// `pi` is parity response `pi`'s values minus `Σ_j c[pi][j] · x_j` over
+/// the known systematic blocks `(j, x_j)`.
+///
+/// Accumulated in GEMM order with a register tile: each
+/// [`RHS_TILE_ROWS`] × [`RHS_TILE_COLS`] tile streams every known block
+/// once, so its independent subtractions overlap instead of waiting on
+/// one another. Every element still sees exactly `v = pv; v −= c_j · x_j`
+/// for ascending `j`, the operation sequence of a one-element-at-a-time
+/// scalar loop, with no fused multiply-add — results are bit-identical
+/// to it. Edge tiles repeat their last row or column to stay full; the
+/// repeats are computed and dropped.
+fn parity_rhs(
+    parity_resps: &[(usize, &[f64])],
+    coeffs: &[&[f64]],
+    systematic: &[(usize, &[f64])],
+    width: usize,
+) -> Vec<f64> {
+    let m = parity_resps.len();
+    let mut rhs = vec![0.0; m * width];
+    for row0 in (0..m).step_by(RHS_TILE_ROWS) {
+        let rows: [usize; RHS_TILE_ROWS] = std::array::from_fn(|r| (row0 + r).min(m - 1));
+        let coef = rows.map(|pi| coeffs[pi]);
+        for col0 in (0..width).step_by(RHS_TILE_COLS) {
+            let cols: [usize; RHS_TILE_COLS] = std::array::from_fn(|t| (col0 + t).min(width - 1));
+            let mut acc = rows.map(|pi| cols.map(|col| parity_resps[pi].1[col]));
+            if col0 + RHS_TILE_COLS <= width {
+                for &(j, xj) in systematic {
+                    let xj = &xj[col0..col0 + RHS_TILE_COLS];
+                    let x: [f64; RHS_TILE_COLS] = std::array::from_fn(|t| xj[t]);
+                    for (acc, c) in acc.iter_mut().zip(&coef) {
+                        let c = c[j];
+                        for (v, x) in acc.iter_mut().zip(x) {
+                            *v -= c * x;
+                        }
+                    }
+                }
+            } else {
+                for &(j, xj) in systematic {
+                    let x = cols.map(|col| xj[col]);
+                    for (acc, c) in acc.iter_mut().zip(&coef) {
+                        let c = c[j];
+                        for (v, x) in acc.iter_mut().zip(x) {
+                            *v -= c * x;
+                        }
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate().take(m - row0) {
+                let keep = RHS_TILE_COLS.min(width - col0);
+                let at = (row0 + r) * width + col0;
+                rhs[at..at + keep].copy_from_slice(&acc[..keep]);
+            }
+        }
+    }
+    rhs
+}
+
+/// Splits a member-major stacked decode buffer into one output vector
+/// per member, truncated to the original row count.
+fn member_outputs(out: &[f64], layout: &ChunkLayout, members: usize) -> Vec<Vector> {
+    out.chunks_exact(layout.padded_rows)
+        .take(members)
+        .map(|v| Vector::from(&v[..layout.original_rows]))
+        .collect()
+}
+
 /// The result of encoding: `n` coded partitions plus the shared layout.
 #[derive(Debug, Clone)]
 pub struct EncodedMatrix {
@@ -597,9 +709,44 @@ impl EncodedMatrix {
         chunk: usize,
         xs: &MultiVector,
     ) -> MultiChunkResult {
-        let range = self.layout.chunk_range_in_partition(chunk);
-        let block = self.partitions[worker].matvec_multi_rows(xs, range.start, range.end);
-        MultiChunkResult::new(worker, chunk, xs.count(), block.into_flat())
+        let mut values = Vec::new();
+        self.worker_compute_chunk_run_into(worker, chunk..chunk + 1, xs, &mut values);
+        MultiChunkResult::new(worker, chunk, xs.count(), values)
+    }
+
+    /// Appends worker `i`'s stacked blocks for the consecutive chunks
+    /// `chunks` to `out`, in one kernel call over the run's rows.
+    ///
+    /// Chunk `c`'s block is the `rows_per_chunk × members` slice that
+    /// starts `(c − chunks.start) · rows_per_chunk · members` values past
+    /// the old end of `out`, bit-identical to
+    /// [`Self::worker_compute_chunk_multi`]`(worker, c, xs)`: the kernel
+    /// computes every (row, member) value on its own, in the same
+    /// dot-product order. A caller that computes a whole round into one
+    /// reused buffer allocates nothing per block.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range worker or chunk run, or mismatched
+    /// input length.
+    pub fn worker_compute_chunk_run_into(
+        &self,
+        worker: usize,
+        chunks: Range<usize>,
+        xs: &MultiVector,
+        out: &mut Vec<f64>,
+    ) {
+        assert!(
+            chunks.start <= chunks.end && chunks.end <= self.layout.chunks_per_partition,
+            "chunk index out of range"
+        );
+        let rpc = self.layout.rows_per_chunk();
+        self.partitions[worker].matvec_multi_rows_into(
+            xs,
+            chunks.start * rpc,
+            chunks.end * rpc,
+            out,
+        );
     }
 
     /// Computes worker `i`'s stacked blocks for every chunk in `chunks`.
@@ -783,6 +930,138 @@ mod tests {
             assert_eq!(outs[j].as_slice(), single.as_slice());
             assert_slices_close(outs[j].as_slice(), a.matvec(x).as_slice(), 1e-8);
         }
+    }
+
+    #[test]
+    fn slice_decode_reports_the_block_decode_errors() {
+        let a = data_matrix(48, 5);
+        let code = MdsCode::new(MdsParams::new(5, 3)).unwrap();
+        let enc = code.encode(&a, 2).unwrap();
+        let layout = enc.layout();
+        let xs = MultiVector::from_fn(2, 5, |m, i| (m + i) as f64 * 0.5);
+        let block = |w: usize, c: usize| enc.worker_compute_chunk_multi(w, c, &xs);
+        // Both entries over the same blocks, grouped by chunk for the
+        // slice entry in submission order.
+        let both = |blocks: &[MultiChunkResult]| {
+            let mut lists: Vec<Vec<(usize, &[f64])>> = vec![Vec::new(); 2];
+            for b in blocks {
+                lists[b.chunk].push((b.worker, b.values.as_slice()));
+            }
+            (
+                code.decode_matvec_multi(layout, blocks).unwrap_err(),
+                code.decode_matvec_slices(layout, lists, 2).unwrap_err(),
+            )
+        };
+
+        let bad_worker = vec![block(0, 0), MultiChunkResult::new(7, 1, 2, vec![0.0; 16])];
+        let (multi, slices) = both(&bad_worker);
+        assert!(
+            matches!(multi, CodingError::MalformedResponse(_)),
+            "{multi:?}"
+        );
+        assert_eq!(slices, multi);
+
+        let mut short = block(1, 0);
+        short.values.truncate(short.values.len() - 2);
+        let (multi, slices) = both(&[block(0, 0), short]);
+        assert!(
+            matches!(multi, CodingError::MalformedResponse(_)),
+            "{multi:?}"
+        );
+        assert_eq!(slices, multi);
+
+        let (multi, slices) = both(&[block(0, 1), block(2, 1), block(2, 1)]);
+        assert_eq!(
+            multi,
+            CodingError::DuplicateResponse {
+                worker: 2,
+                chunk: 1
+            }
+        );
+        assert_eq!(slices, multi);
+
+        // Shape errors only the slice entry can see.
+        assert!(matches!(
+            code.decode_matvec_slices(layout, vec![Vec::new(); 3], 2),
+            Err(CodingError::MalformedResponse(_))
+        ));
+        assert!(matches!(
+            code.decode_matvec_slices(layout, vec![Vec::new(); 2], 0),
+            Err(CodingError::MalformedResponse(_))
+        ));
+    }
+
+    #[test]
+    fn parity_rhs_matches_scalar_loop_bitwise() {
+        // Every tile-edge case: row counts around RHS_TILE_ROWS and
+        // widths around RHS_TILE_COLS, against the element-at-a-time
+        // loop the tiled kernel replaced.
+        let k = 11;
+        for m in 1..=5usize {
+            for width in 1..=13usize {
+                let vals = |seed: usize, len: usize| -> Vec<f64> {
+                    (0..len)
+                        .map(|i| ((seed * 31 + i * 7) as f64 * 0.37).sin())
+                        .collect()
+                };
+                let pdata: Vec<Vec<f64>> = (0..m).map(|p| vals(p + 100, width)).collect();
+                let xdata: Vec<Vec<f64>> = (0..k - m).map(|j| vals(j, width)).collect();
+                let cdata: Vec<Vec<f64>> = (0..m).map(|p| vals(p + 500, k)).collect();
+                let parity: Vec<(usize, &[f64])> = pdata
+                    .iter()
+                    .enumerate()
+                    .map(|(p, v)| (k + p, v.as_slice()))
+                    .collect();
+                // Known blocks skip a few ids, as missing ones would.
+                let systematic: Vec<(usize, &[f64])> = xdata
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| (i + m, v.as_slice()))
+                    .collect();
+                let coeffs: Vec<&[f64]> = cdata.iter().map(Vec::as_slice).collect();
+                let got = parity_rhs(&parity, &coeffs, &systematic, width);
+                let mut expect = Vec::new();
+                for (pi, &(_, pv)) in parity.iter().enumerate() {
+                    for (col, &v0) in pv.iter().enumerate() {
+                        let mut v = v0;
+                        for &(j, xj) in &systematic {
+                            v -= coeffs[pi][j] * xj[col];
+                        }
+                        expect.push(v);
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expect), "m {m} width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_run_blocks_match_per_chunk_blocks_bitwise() {
+        let a = data_matrix(90, 7);
+        let code = MdsCode::new(MdsParams::new(5, 3)).unwrap();
+        let enc = code.encode(&a, 5).unwrap();
+        let xs = MultiVector::from_fn(3, 7, |m, i| ((m * 3 + i) as f64).sin());
+        let width = enc.layout().rows_per_chunk() * 3;
+        for worker in 0..5 {
+            let mut arena = vec![-1.0];
+            enc.worker_compute_chunk_run_into(worker, 1..4, &xs, &mut arena);
+            assert_eq!(arena.len(), 1 + 3 * width);
+            for (i, chunk) in (1..4).enumerate() {
+                let single = enc.worker_compute_chunk_multi(worker, chunk, &xs);
+                assert_eq!(&arena[1 + i * width..1 + (i + 1) * width], single.values);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk index out of range")]
+    fn chunk_run_rejects_out_of_range_chunks() {
+        let a = data_matrix(24, 3);
+        let code = MdsCode::new(MdsParams::new(3, 2)).unwrap();
+        let enc = code.encode(&a, 2).unwrap();
+        let mut out = Vec::new();
+        enc.worker_compute_chunk_run_into(0, 1..3, &MultiVector::zeros(1, 3), &mut out);
     }
 
     #[test]

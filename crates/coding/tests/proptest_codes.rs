@@ -8,10 +8,10 @@
 
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
-use s2c2_coding::chunks::WorkerChunkResult;
+use s2c2_coding::chunks::{MultiChunkResult, WorkerChunkResult};
 use s2c2_coding::mds::{MdsCode, MdsParams};
 use s2c2_coding::polynomial::{PolyParams, PolynomialCode};
-use s2c2_linalg::{Matrix, Vector};
+use s2c2_linalg::{Matrix, MultiVector, Vector};
 
 /// Strategy: a valid (n, k) pair with n ≤ 12.
 fn mds_params() -> impl Strategy<Value = MdsParams> {
@@ -161,6 +161,72 @@ proptest! {
                 expect.axpy(gj, &a.row_block(j * prow, (j + 1) * prow));
             }
             prop_assert!(enc.partition(w).max_abs_diff(&expect) < 1e-9);
+        }
+    }
+
+    /// The slice-fed decode over one arena of whole-run blocks is bit
+    /// for bit the block decode over per-chunk blocks, for any code,
+    /// chunking, member count and per-chunk coverage.
+    #[test]
+    fn slice_decode_matches_block_decode_bitwise(
+        params in mds_params(),
+        chunks in 1usize..=5,
+        members in 1usize..=6,
+        cols in 1usize..=9,
+        seed in any::<u64>(),
+    ) {
+        let cover_strategy = coverage(params.n, params.k, chunks);
+        let mut runner = proptest::test_runner::TestRunner::deterministic();
+        let cover = cover_strategy.new_tree(&mut runner).unwrap().current();
+
+        let rows = params.k * chunks * 3 + (seed as usize % 7);
+        let a = Matrix::from_fn(rows, cols, |r, c| {
+            (((r * 5 + c * 11) as f64) * 0.37 + (seed % 13) as f64).sin()
+        });
+        let xs = MultiVector::from_fn(members, cols, |m, i| {
+            ((m * 7 + i) as f64 * 0.61 - (seed % 5) as f64).cos()
+        });
+        let code = MdsCode::new(params).unwrap();
+        let enc = code.encode(&a, chunks).unwrap();
+        let layout = enc.layout();
+        let width = layout.rows_per_chunk() * members;
+
+        // Reference: one owned block per (worker, chunk).
+        let blocks: Vec<MultiChunkResult> = cover
+            .iter()
+            .enumerate()
+            .flat_map(|(chunk, ws)| {
+                ws.iter().map(move |&w| (w, chunk)).collect::<Vec<_>>()
+            })
+            .map(|(w, chunk)| enc.worker_compute_chunk_multi(w, chunk, &xs))
+            .collect();
+        let expect = code.decode_matvec_multi(layout, &blocks).unwrap();
+
+        // Slice-fed: every worker's whole partition in one kernel call,
+        // appended to one arena, decoded from views of it.
+        let mut arena = Vec::new();
+        for w in 0..params.n {
+            enc.worker_compute_chunk_run_into(w, 0..chunks, &xs, &mut arena);
+        }
+        let per_worker = chunks * width;
+        let lists: Vec<Vec<(usize, &[f64])>> = cover
+            .iter()
+            .enumerate()
+            .map(|(chunk, ws)| {
+                ws.iter()
+                    .map(|&w| {
+                        let off = w * per_worker + chunk * width;
+                        (w, &arena[off..off + width])
+                    })
+                    .collect()
+            })
+            .collect();
+        let got = code.decode_matvec_slices(layout, lists, members).unwrap();
+        prop_assert_eq!(got.len(), expect.len());
+        for (g, e) in got.iter().zip(&expect) {
+            let gb: Vec<u64> = g.as_slice().iter().map(|v| v.to_bits()).collect();
+            let eb: Vec<u64> = e.as_slice().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(gb, eb);
         }
     }
 

@@ -236,13 +236,37 @@ impl Matrix {
     /// bounds.
     #[must_use]
     pub fn matvec_multi_rows(&self, xs: &MultiVector, begin: usize, end: usize) -> Matrix {
+        let mut out = Vec::new();
+        self.matvec_multi_rows_into(xs, begin, end, &mut out);
+        Matrix::from_flat(end - begin, xs.count(), out)
+    }
+
+    /// [`Self::matvec_multi_rows`] appended to `out` instead of returned:
+    /// the `(end − begin) × count` block (output-row-major,
+    /// member-minor) lands at `out[out.len()..]`, bit-identical to the
+    /// returned form. Callers that compute many row ranges per round
+    /// append them all into one reused buffer rather than allocating a
+    /// matrix per range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len() != self.cols()` or the row range is out of
+    /// bounds.
+    pub fn matvec_multi_rows_into(
+        &self,
+        xs: &MultiVector,
+        begin: usize,
+        end: usize,
+        out: &mut Vec<f64>,
+    ) {
         assert_eq!(xs.len(), self.cols, "matvec_multi_rows: dimension mismatch");
         assert!(
             begin <= end && end <= self.rows,
             "matvec_multi_rows: range out of bounds"
         );
         let count = xs.count();
-        let mut out = vec![0.0; (end - begin) * count];
+        let start = out.len();
+        out.resize(start + (end - begin) * count, 0.0);
         matvec_multi_block(
             &self.data,
             self.cols,
@@ -250,9 +274,8 @@ impl Matrix {
             end,
             xs.as_slice(),
             count,
-            &mut out,
+            &mut out[start..],
         );
-        Matrix::from_flat(end - begin, count, out)
     }
 
     /// Dense matrix–matrix product `self · other`.
@@ -550,6 +573,20 @@ mod tests {
     fn from_flat_roundtrip() {
         let m = Matrix::from_flat(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.get(1, 0), 3.0);
+    }
+
+    #[test]
+    fn matvec_multi_rows_into_appends_the_returned_block() {
+        let m = Matrix::from_fn(19, 7, |r, c| ((r * 5 + c * 3) % 13) as f64 * 0.5 - 3.0);
+        let xs = MultiVector::from_fn(3, 7, |i, j| ((i * 7 + j) % 5) as f64 * 0.25 - 0.5);
+        let mut out = vec![42.0];
+        m.matvec_multi_rows_into(&xs, 2, 9, &mut out);
+        m.matvec_multi_rows_into(&xs, 9, 18, &mut out);
+        assert_eq!(out[0], 42.0, "existing contents are kept");
+        let mut expect = m.matvec_multi_rows(&xs, 2, 9).into_flat();
+        expect.extend(m.matvec_multi_rows(&xs, 9, 18).into_flat());
+        assert_eq!(&out[1..], expect.as_slice());
+        assert_eq!(&out[1..], m.matvec_multi_rows(&xs, 2, 18).as_slice());
     }
 
     #[test]

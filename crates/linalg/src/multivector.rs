@@ -270,6 +270,58 @@ fn dot_rhs2(row: &[f64], x0: &[f64], x1: &[f64], out: &mut [f64]) {
     out[1] = b0 + b1 + b2 + b3 + tb;
 }
 
+/// One dot product of `x` against each of four rows `a0..a3`.
+///
+/// Each row keeps the exact [`dot_slices`] accumulation structure (four
+/// lane accumulators over column quads, scalar tail, lanes summed left
+/// to right), so every result is bit-identical to a standalone
+/// `dot_slices(row, x)` call while `x` is loaded once for all four rows
+/// and the sixteen independent accumulators keep the FP adders busy.
+#[inline]
+fn dot_rows4(a0: &[f64], a1: &[f64], a2: &[f64], a3: &[f64], x: &[f64]) -> [f64; 4] {
+    let n = x.len();
+    debug_assert!(a0.len() == n && a1.len() == n && a2.len() == n && a3.len() == n);
+    let quads = n / 4;
+    let (mut p0, mut p1, mut p2, mut p3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut q0, mut q1, mut q2, mut q3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut r0, mut r1, mut r2, mut r3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for i in 0..quads {
+        let j = i * 4;
+        let (x0, x1, x2, x3) = (x[j], x[j + 1], x[j + 2], x[j + 3]);
+        p0 += a0[j] * x0;
+        p1 += a0[j + 1] * x1;
+        p2 += a0[j + 2] * x2;
+        p3 += a0[j + 3] * x3;
+        q0 += a1[j] * x0;
+        q1 += a1[j + 1] * x1;
+        q2 += a1[j + 2] * x2;
+        q3 += a1[j + 3] * x3;
+        r0 += a2[j] * x0;
+        r1 += a2[j + 1] * x1;
+        r2 += a2[j + 2] * x2;
+        r3 += a2[j + 3] * x3;
+        s0 += a3[j] * x0;
+        s1 += a3[j + 1] * x1;
+        s2 += a3[j + 2] * x2;
+        s3 += a3[j + 3] * x3;
+    }
+    let (mut tp, mut tq, mut tr, mut ts) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for j in quads * 4..n {
+        let xv = x[j];
+        tp += a0[j] * xv;
+        tq += a1[j] * xv;
+        tr += a2[j] * xv;
+        ts += a3[j] * xv;
+    }
+    [
+        p0 + p1 + p2 + p3 + tp,
+        q0 + q1 + q2 + q3 + tq,
+        r0 + r1 + r2 + r3 + tr,
+        s0 + s1 + s2 + s3 + ts,
+    ]
+}
+
 /// The cache-blocked stacked matvec kernel over raw storage.
 ///
 /// Computes rows `[begin, end)` of `A · xᵀ` for every member of the
@@ -329,12 +381,21 @@ pub(crate) fn matvec_multi_block(
             m += 2;
         }
         // Single remainder member: the degenerate path, shared with the
-        // single-RHS kernels.
+        // single-RHS kernels. Rows advance four at a time against the
+        // one member, then one at a time through `dot_slices`.
         if m < count {
             let x = &rhs[m * cols..(m + 1) * cols];
-            for r in block..block_end {
-                let row = &a[r * cols..(r + 1) * cols];
-                out[(r - begin) * count + m] = dot_slices(row, x);
+            let row = |r: usize| &a[r * cols..(r + 1) * cols];
+            let mut r = block;
+            while r + 4 <= block_end {
+                let four = dot_rows4(row(r), row(r + 1), row(r + 2), row(r + 3), x);
+                for (i, v) in four.into_iter().enumerate() {
+                    out[(r + i - begin) * count + m] = v;
+                }
+                r += 4;
+            }
+            for r in r..block_end {
+                out[(r - begin) * count + m] = dot_slices(row(r), x);
             }
         }
         block = block_end;
@@ -454,6 +515,33 @@ mod tests {
         matvec_multi_block(a.as_slice(), 13, 0, 40, xs.as_slice(), 1, &mut out);
         for (r, &got) in out.iter().enumerate() {
             assert_eq!(got, dot_slices(a.row(r), xs.member(0)), "row {r}");
+        }
+    }
+
+    #[test]
+    fn four_row_kernel_is_bitwise_dot_slices() {
+        // Column counts cover every unroll remainder and the preset
+        // widths; row counts leave 1–3 rows for the per-row tail. The
+        // 3- and 5-member stacks route their last member through the
+        // same single-RHS path as a 1-member stack.
+        for cols in (1..=9usize).chain([32, 48, 63, 64]) {
+            for rows in [1usize, 2, 3, 5, 6, 7, 13] {
+                let a = sample(rows, cols);
+                for count in [1usize, 3, 5] {
+                    let xs = stack(count, cols);
+                    let mut out = vec![0.0; rows * count];
+                    matvec_multi_block(a.as_slice(), cols, 0, rows, xs.as_slice(), count, &mut out);
+                    for r in 0..rows {
+                        for m in 0..count {
+                            assert_eq!(
+                                out[r * count + m].to_bits(),
+                                dot_slices(a.row(r), xs.member(m)).to_bits(),
+                                "cols {cols} rows {rows} row {r} member {m} of {count}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

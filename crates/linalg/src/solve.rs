@@ -128,37 +128,45 @@ impl LuFactors {
         let n = self.dim();
         assert_eq!(b.rows(), n, "solve_matrix: rhs row mismatch");
         let cols = b.cols();
-        let mut out = Matrix::zeros(n, cols);
-        // Substitute directly in two reused scratch buffers: the stacked
-        // decoder solves `rows_per_chunk × members` columns per chunk, so
-        // per-column allocations would dominate the small-system solves.
-        let mut rhs = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        for c in 0..cols {
-            for (r, slot) in rhs.iter_mut().enumerate() {
-                *slot = b.get(r, c);
-            }
-            // Forward substitution on the permuted rhs (unit diagonal L).
-            for i in 0..n {
-                let mut sum = rhs[self.perm[i]];
-                for (j, &xj) in x[..i].iter().enumerate() {
-                    sum -= self.lu.get(i, j) * xj;
+        // Substitute all columns at once, row by row: row `i` of the
+        // unknown is updated by whole-row axpys `X_i −= l_ij · X_j` in
+        // ascending `j`. Every element sees exactly the operation
+        // sequence of a per-column substitution (bit-identical results),
+        // while the inner loops run over contiguous rows — the stacked
+        // decoder solves `rows_per_chunk × members` columns per chunk.
+        let mut x = Matrix::zeros(n, cols);
+        if cols == 0 {
+            return x;
+        }
+        let xd = x.as_mut_slice();
+        // Forward substitution on the permuted rhs (unit diagonal L).
+        for i in 0..n {
+            let (solved, rest) = xd.split_at_mut(i * cols);
+            let xi = &mut rest[..cols];
+            xi.copy_from_slice(b.row(self.perm[i]));
+            for (j, xj) in solved.chunks_exact(cols).enumerate() {
+                let l = self.lu.get(i, j);
+                for (v, &w) in xi.iter_mut().zip(xj) {
+                    *v -= l * w;
                 }
-                x[i] = sum;
-            }
-            // Back substitution through U.
-            for i in (0..n).rev() {
-                let mut sum = x[i];
-                for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                    sum -= self.lu.get(i, j) * xj;
-                }
-                x[i] = sum / self.lu.get(i, i);
-            }
-            for (r, &xr) in x.iter().enumerate() {
-                out.set(r, c, xr);
             }
         }
-        out
+        // Back substitution through U.
+        for i in (0..n).rev() {
+            let (head, solved) = xd.split_at_mut((i + 1) * cols);
+            let xi = &mut head[i * cols..];
+            for (j, xj) in solved.chunks_exact(cols).enumerate() {
+                let u = self.lu.get(i, i + 1 + j);
+                for (v, &w) in xi.iter_mut().zip(xj) {
+                    *v -= u * w;
+                }
+            }
+            let d = self.lu.get(i, i);
+            for v in xi.iter_mut() {
+                *v /= d;
+            }
+        }
+        x
     }
 
     /// Computes the inverse matrix explicitly.
@@ -264,6 +272,24 @@ mod tests {
         // Verify A * X == B.
         let back = a.matmul(&x);
         assert!(back.max_abs_diff(&b) < 1e-12);
+    }
+
+    #[test]
+    fn solve_matrix_columns_are_bitwise_single_solves() {
+        // A pivoting 7×7 system: each column of the row-oriented stacked
+        // solve must equal the single-rhs solve of that column exactly.
+        let a = Matrix::from_fn(7, 7, |r, c| ((r * 7 + c * 3) % 11) as f64 * 0.3 - 1.4);
+        let b = Matrix::from_fn(7, 5, |r, c| ((r * 5 + c * 13) % 17) as f64 * 0.21 - 1.7);
+        let lu = LuFactors::factor(&a).unwrap();
+        let x = lu.solve_matrix(&b);
+        for c in 0..5 {
+            let col = Vector::from_fn(7, |r| b.get(r, c));
+            let single = lu.solve(&col);
+            for r in 0..7 {
+                assert_eq!(x.get(r, c).to_bits(), single.as_slice()[r].to_bits());
+            }
+        }
+        assert_eq!(lu.solve_matrix(&Matrix::zeros(7, 0)).shape(), (7, 0));
     }
 
     #[test]

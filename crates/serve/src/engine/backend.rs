@@ -11,9 +11,9 @@
 //!   [`JobSpec::matrix_id`], encoded once through a shared
 //!   [`EncodeCache`]. When the timing model completes an iteration, the
 //!   master recomputes exactly the chunk responses of the workers the
-//!   timing model credited, decodes them with [`s2c2_coding`], and
-//!   checks the result against a sequential `A·x` reference. No OS
-//!   threads — the numerics oracle.
+//!   timing model credited into one reused round arena, decodes views
+//!   of it with [`s2c2_coding`], and checks the result against a
+//!   sequential `A·x` reference. No OS threads — the numerics oracle.
 //! * [`BackendKind::Threaded`] — same numerics, but the encoded chunk
 //!   work is dispatched to real [`ThreadedCluster`] OS-thread workers
 //!   when the iteration *starts*, cancelled cooperatively when the
@@ -24,8 +24,8 @@
 //!
 //! Both numeric backends draw per-iteration inputs `x` from the same
 //! deterministic generator and decode from identical response sets, so
-//! their decoded outputs agree to within threading-independent FP
-//! reproducibility (proptested in `tests/proptest_serve.rs`). Cache
+//! their decoded outputs agree bit for bit (proptested in
+//! `tests/proptest_serve.rs`). Cache
 //! hit/miss counters, verified-iteration counts, the worst observed
 //! decode error, and per-job final outputs are merged into the
 //! [`ServiceReport`] when the engine finishes.
@@ -36,7 +36,8 @@ use crate::metrics::ServiceReport;
 use crate::workload::JobSpec;
 use s2c2_cluster::threaded::{CancelToken, ThreadedCluster};
 use s2c2_coding::cache::{CachedEncoding, EncodeCache, EncodeKey};
-use s2c2_coding::chunks::MultiChunkResult;
+use s2c2_coding::chunks::{BlocksByChunk, ChunkLayout, MultiChunkResult};
+use s2c2_coding::{CodingError, MdsCode};
 use s2c2_linalg::{Matrix, MultiVector, Vector};
 use s2c2_telemetry::PhaseTotals;
 use std::collections::{BTreeMap, BTreeSet};
@@ -141,6 +142,7 @@ pub(crate) fn make_backend(kind: BackendKind, n: usize) -> Box<dyn ExecutionBack
         BackendKind::SimVerified => Box::new(SimVerifiedBackend {
             core: NumericCore::default(),
             n,
+            arena: Vec::new(),
         }),
         BackendKind::Threaded => Box::new(ThreadedBackend::spawn(n)),
     }
@@ -372,25 +374,22 @@ impl NumericCore {
         Ok((enc, Arc::new(xs)))
     }
 
-    /// Decodes the round's stacked blocks (all members in one pass, LU
+    /// Decodes the round through `decode` (all members in one pass, LU
     /// factored once per chunk), verifies every member against its
     /// sequential reference, and records the outcomes.
     fn verify_multi(
         &mut self,
         specs: &[JobSpec],
-        blocks: &[MultiChunkResult],
         iteration_index: usize,
         is_final: bool,
+        decode: impl FnOnce(&MdsCode, &ChunkLayout) -> Result<Vec<Vector>, CodingError>,
     ) -> Result<(), String> {
         let leader = self
             .jobs
             .get(&specs[0].id)
             .ok_or_else(|| format!("job {} completed before admission", specs[0].id))?;
         let t0 = Instant::now();
-        let outs = leader
-            .enc
-            .code
-            .decode_matvec_multi(leader.enc.encoded.layout(), blocks)
+        let outs = decode(&leader.enc.code, leader.enc.encoded.layout())
             .map_err(|e| format!("job {} decode failed: {e}", specs[0].id))?;
         self.phase_wall.decode += t0.elapsed().as_secs_f64();
         if outs.len() != specs.len() {
@@ -460,6 +459,10 @@ struct SimVerifiedBackend {
     core: NumericCore,
     /// Pool size (code length of every job's encoding).
     n: usize,
+    /// The round arena: every credited `(worker, chunk)` block of the
+    /// round being decoded, back to back. Cleared (capacity kept) per
+    /// round, so steady-state rounds allocate no block storage.
+    arena: Vec<f64>,
 }
 
 impl ExecutionBackend for SimVerifiedBackend {
@@ -488,38 +491,89 @@ impl ExecutionBackend for SimVerifiedBackend {
         iteration_index: usize,
         is_final: bool,
     ) -> Result<(), String> {
-        // One stacked block per (worker, chunk) the decoder will
-        // actually consume — the same kernel the threaded workers run.
-        // The decode rule keeps the lowest-k worker ids per chunk
-        // (fastest-k with deterministic systematic preference), so this
-        // backend truncates the credited coverage *before* computing:
-        // responses beyond k would be materialized only to be dropped.
+        // Only the blocks the decoder will consume are computed: the
+        // decode rule keeps the lowest-k worker ids per chunk
+        // (fastest-k with deterministic systematic preference), so the
+        // credited coverage is truncated *before* computing.
         let (enc, xs) = self.core.batch_inputs(specs, iteration_index)?;
         let k = enc.encoded.params().k;
-        let mut per_chunk: Vec<Vec<usize>> =
-            vec![Vec::new(); enc.encoded.layout().chunks_per_partition];
-        for (w, _, _, chunks) in iter.done_results() {
-            for &chunk in chunks {
+        let chunks = enc.encoded.layout().chunks_per_partition;
+        let mut per_chunk: Vec<Vec<usize>> = vec![Vec::new(); chunks];
+        for (w, _, _, held) in iter.done_results() {
+            for &chunk in held {
                 if let Some(ws) = per_chunk.get_mut(chunk) {
                     ws.push(w);
                 }
             }
         }
-        let t0 = Instant::now();
-        let mut blocks = Vec::new();
-        for (chunk, mut ws) in per_chunk.into_iter().enumerate() {
+        // Arena offset of each consumed (worker, chunk) block, worker
+        // major: slots are marked consumed here (any value but
+        // `NOT_CONSUMED`) and given their offsets as the arena fills.
+        const NOT_CONSUMED: usize = usize::MAX;
+        let mut offset = vec![NOT_CONSUMED; self.n * chunks];
+        for (chunk, ws) in per_chunk.iter_mut().enumerate() {
             ws.sort_unstable();
             ws.truncate(k);
-            for w in ws {
-                blocks.push(enc.encoded.worker_compute_chunk_multi(w, chunk, &xs));
+            for &w in ws.iter() {
+                if let Some(slot) = offset.get_mut(w * chunks + chunk) {
+                    *slot = 0;
+                }
+            }
+        }
+        // One kernel call per run of consecutive chunks a worker holds:
+        // the run's rows are contiguous in the worker's partition, and
+        // its blocks land back to back in the arena.
+        let t0 = Instant::now();
+        let width = enc.encoded.layout().rows_per_chunk() * xs.count();
+        self.arena.clear();
+        for (w, slots) in offset.chunks_exact_mut(chunks).enumerate() {
+            let mut run: Option<usize> = None;
+            for c in 0..=chunks {
+                match (slots.get_mut(c), run) {
+                    (Some(slot), _) if *slot != NOT_CONSUMED => {
+                        let start = *run.get_or_insert(c);
+                        *slot = self.arena.len() + (c - start) * width;
+                    }
+                    (_, Some(start)) => {
+                        enc.encoded.worker_compute_chunk_run_into(
+                            w,
+                            start..c,
+                            &xs,
+                            &mut self.arena,
+                        );
+                        run = None;
+                    }
+                    _ => {}
+                }
             }
         }
         self.core.phase_wall.compute += t0.elapsed().as_secs_f64();
-        // Nothing else holds the buffer here (the compute loop borrows
+        // Nothing else holds the buffer here (the compute loop borrowed
         // it), so it always returns to the pool.
+        let members = xs.count();
         self.core.recycle(xs);
+        let arena = &self.arena;
+        let lists: BlocksByChunk<'_> = per_chunk
+            .iter()
+            .enumerate()
+            .map(|(chunk, ws)| {
+                // A block missing from the arena (a worker outside the
+                // pool) goes in empty, so the decoder reports it.
+                ws.iter()
+                    .map(|&w| {
+                        let block = offset
+                            .get(w * chunks + chunk)
+                            .and_then(|&off| arena.get(off..off + width))
+                            .unwrap_or(&[]);
+                        (w, block)
+                    })
+                    .collect()
+            })
+            .collect();
         self.core
-            .verify_multi(specs, &blocks, iteration_index, is_final)
+            .verify_multi(specs, iteration_index, is_final, |code, layout| {
+                code.decode_matvec_slices(layout, lists, members)
+            })
     }
     fn on_iteration_abandoned(&mut self, _: JobId, _: u64) {}
     fn on_job_resolved(&mut self, job: JobId) {
@@ -815,7 +869,9 @@ impl ExecutionBackend for ThreadedBackend {
         // to the pool.
         self.core.recycle(state.xs);
         self.core
-            .verify_multi(specs, &blocks, iteration_index, is_final)
+            .verify_multi(specs, iteration_index, is_final, |code, layout| {
+                code.decode_matvec_multi(layout, &blocks)
+            })
     }
 
     fn on_iteration_abandoned(&mut self, job: JobId, generation: u64) {

@@ -584,14 +584,14 @@ fn sim_verified_and_threaded_outputs_match() {
     // Timing is backend-independent...
     assert_eq!(sim.jobs, threaded.jobs);
     assert_eq!(sim.events_processed, threaded.events_processed);
-    // ...and so are the decoded numerics: same coverage, same chunk
-    // arithmetic, same decode order.
+    // ...and so are the decoded numerics, bit for bit: same coverage,
+    // same chunk arithmetic, same decode order.
     assert_eq!(sim.job_outputs.len(), threaded.job_outputs.len());
     for ((id_a, a), (id_b, b)) in sim.job_outputs.iter().zip(threaded.job_outputs.iter()) {
         assert_eq!(id_a, id_b);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-12, "job {id_a}: {x} vs {y}");
+            assert_eq!(x.to_bits(), y.to_bits(), "job {id_a}: {x} vs {y}");
         }
     }
 }
@@ -1565,5 +1565,48 @@ fn pipelined_churn_outputs_pinned_across_commits() {
             125,
             0x0999_AB1B_23E6_4CF9
         )
+    );
+}
+
+#[test]
+fn sim_verified_batched_churn_outputs_pinned_across_commits() {
+    // Cross-commit bit-identity pin for the verified numerics: a
+    // pipelined, churning, time-window-batched SimVerified run whose
+    // multi-member rounds go through the stacked compute and decode
+    // path. Every decoded output value and the worst decode error must
+    // keep their exact bits across kernel and decoder rewrites.
+    let n = 12;
+    let mut cfg = pipelined_cfg(2, PredictorSource::LastValue);
+    cfg.backend = BackendKind::SimVerified;
+    cfg.batch = BatchPolicy::TimeWindow {
+        window: 0.3,
+        max_batch: 4,
+    };
+    cfg.churn = Some(ChurnConfig {
+        p_fail: 0.05,
+        p_recover: 0.4,
+        min_up: 10,
+    });
+    cfg.max_retries = 10;
+    let engine = ServiceEngine::new(pool(n, &[3]), cfg).unwrap();
+    let report = engine.run(&workload(24, 2.0, n, 33)).unwrap();
+    assert!(
+        report.batched_jobs > report.batches_admitted,
+        "the scenario must run multi-member rounds"
+    );
+    let value_bits: Vec<u8> = report
+        .job_outputs
+        .iter()
+        .flat_map(|(_, y)| y.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+        .collect();
+    let pinned = (
+        report.job_outputs.len(),
+        report.verified_iterations,
+        crate::workload::fnv1a(&value_bits),
+        report.max_decode_error.to_bits(),
+    );
+    assert_eq!(
+        pinned,
+        (24, 144, 0xA86A_87C4_C4EC_BE93, 0x3D42_5372_134D_867A)
     );
 }
