@@ -17,6 +17,11 @@
 //!    next-fastest workers (the paper's "re-assign these extra chunks to
 //!    next worker"),
 //! 3. walks the circle in descending speed order handing out intervals.
+//!
+//! An infeasible plan (fewer than `k` workers believed alive) falls back
+//! through [`plan_or_full`] — §4.4's rule, shared by the paper's S²C²
+//! and polynomial strategies and the serve engine's allocator — to
+//! conventional coded computing over the workers the caller names.
 
 use crate::error::S2c2Error;
 
@@ -148,6 +153,61 @@ fn apportion_capped(weights: &[f64], total: usize, cap: usize) -> Vec<usize> {
     counts
 }
 
+/// The workers with positive speed, checked against the geometry: both
+/// allocators fail the same way when `k`-coverage is impossible.
+fn alive_workers(speeds: &[f64], k: usize, c: usize) -> Result<Vec<usize>, S2c2Error> {
+    if k == 0 || c == 0 {
+        return Err(S2c2Error::InvalidConfig(
+            "k and chunks_per_partition must be positive".into(),
+        ));
+    }
+    let alive: Vec<usize> = (0..speeds.len()).filter(|&w| speeds[w] > 0.0).collect();
+    if alive.len() < k {
+        return Err(S2c2Error::NotEnoughWorkers {
+            alive: alive.len(),
+            need: k,
+        });
+    }
+    Ok(alive)
+}
+
+/// Walks the circle of circumference `c` in descending-speed order,
+/// handing worker `alive[i]` an interval of `counts[i]` consecutive chunk
+/// indices; every other worker gets none.
+fn lay_out_circle(
+    speeds: &[f64],
+    alive: &[usize],
+    counts: &[usize],
+    k: usize,
+    c: usize,
+) -> ChunkAssignment {
+    let mut order: Vec<usize> = (0..alive.len()).collect();
+    order.sort_by(|&a, &b| {
+        speeds[alive[b]]
+            .total_cmp(&speeds[alive[a]])
+            .then(a.cmp(&b))
+    });
+    let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); speeds.len()];
+    let mut begin = 0usize;
+    for &ai in &order {
+        let count = counts[ai];
+        let mut assigned: Vec<usize> = (0..count).map(|j| (begin + j) % c).collect();
+        assigned.sort_unstable();
+        chunks[alive[ai]] = assigned;
+        begin = (begin + count) % c;
+    }
+    let assignment = ChunkAssignment {
+        chunks,
+        chunks_per_partition: c,
+        k,
+    };
+    debug_assert!(
+        assignment.is_decodable(),
+        "allocator broke the coverage invariant"
+    );
+    assignment
+}
+
 /// Runs Algorithm 1.
 ///
 /// `speeds[w] <= 0` marks a worker as unavailable (a presumed-dead or
@@ -163,57 +223,11 @@ pub fn allocate_chunks(
     k: usize,
     chunks_per_partition: usize,
 ) -> Result<ChunkAssignment, S2c2Error> {
-    if k == 0 || chunks_per_partition == 0 {
-        return Err(S2c2Error::InvalidConfig(
-            "k and chunks_per_partition must be positive".into(),
-        ));
-    }
-    let n = speeds.len();
-    let alive: Vec<usize> = (0..n).filter(|&w| speeds[w] > 0.0).collect();
-    if alive.len() < k {
-        return Err(S2c2Error::NotEnoughWorkers {
-            alive: alive.len(),
-            need: k,
-        });
-    }
-
     let c = chunks_per_partition;
-    let total = k * c;
+    let alive = alive_workers(speeds, k, c)?;
     let alive_weights: Vec<f64> = alive.iter().map(|&w| speeds[w]).collect();
-    let counts = apportion_capped(&alive_weights, total, c);
-
-    // Walk the circle in descending-speed order.
-    let mut order: Vec<usize> = (0..alive.len()).collect();
-    order.sort_by(|&a, &b| {
-        alive_weights[b]
-            .total_cmp(&alive_weights[a])
-            .then(a.cmp(&b))
-    });
-
-    let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut begin = 0usize;
-    for &ai in &order {
-        let count = counts[ai];
-        let worker = alive[ai];
-        let mut assigned = Vec::with_capacity(count);
-        for j in 0..count {
-            assigned.push((begin + j) % c);
-        }
-        assigned.sort_unstable();
-        chunks[worker] = assigned;
-        begin = (begin + count) % c;
-    }
-
-    let assignment = ChunkAssignment {
-        chunks,
-        chunks_per_partition: c,
-        k,
-    };
-    debug_assert!(
-        assignment.is_decodable(),
-        "allocator broke the coverage invariant"
-    );
-    Ok(assignment)
+    let counts = apportion_capped(&alive_weights, k * c, c);
+    Ok(lay_out_circle(speeds, &alive, &counts, k, c))
 }
 
 /// Algorithm 1 extended for bilinear codes: accounts for a fixed
@@ -243,25 +257,13 @@ pub fn allocate_chunks_with_fixed_cost(
     if fixed_work <= 0.0 {
         return allocate_chunks(speeds, k, chunks_per_partition);
     }
-    if k == 0 || chunks_per_partition == 0 {
-        return Err(S2c2Error::InvalidConfig(
-            "k and chunks_per_partition must be positive".into(),
-        ));
-    }
     if unit_work <= 0.0 {
         return Err(S2c2Error::InvalidConfig(
             "unit work must be positive".into(),
         ));
     }
-    let n = speeds.len();
-    let alive: Vec<usize> = (0..n).filter(|&w| speeds[w] > 0.0).collect();
-    if alive.len() < k {
-        return Err(S2c2Error::NotEnoughWorkers {
-            alive: alive.len(),
-            need: k,
-        });
-    }
     let c = chunks_per_partition;
+    let alive = alive_workers(speeds, k, c)?;
     let total = (k * c) as f64;
     let cap = c as f64;
 
@@ -304,33 +306,7 @@ pub fn allocate_chunks_with_fixed_cost(
         }
         ri += 1;
     }
-
-    // Cyclic layout in descending-speed order (as in Algorithm 1).
-    let mut order: Vec<usize> = (0..alive.len()).collect();
-    order.sort_by(|&a, &b| {
-        speeds[alive[b]]
-            .total_cmp(&speeds[alive[a]])
-            .then(a.cmp(&b))
-    });
-    let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut begin = 0usize;
-    for &ai in &order {
-        let count = counts[ai];
-        let mut assigned_chunks = Vec::with_capacity(count);
-        for j in 0..count {
-            assigned_chunks.push((begin + j) % c);
-        }
-        assigned_chunks.sort_unstable();
-        chunks[alive[ai]] = assigned_chunks;
-        begin = (begin + count) % c;
-    }
-    let assignment = ChunkAssignment {
-        chunks,
-        chunks_per_partition: c,
-        k,
-    };
-    debug_assert!(assignment.is_decodable(), "water-filling broke coverage");
-    Ok(assignment)
+    Ok(lay_out_circle(speeds, &alive, &counts, k, c))
 }
 
 /// Normalizes per-job capacity weights into fractional shares summing
@@ -401,17 +377,44 @@ pub fn allocate_chunks_basic(
     allocate_chunks(&speeds, k, chunks_per_partition)
 }
 
-/// Conventional coded computing's implicit assignment: every worker
-/// computes its whole partition (used by the MDS baseline and as the
-/// fallback when prediction fails completely — §4.4).
+/// Conventional coded computing's implicit assignment: each worker
+/// `covered` marks computes its whole partition, the rest nothing.
 #[must_use]
-pub fn allocate_full(n: usize, k: usize, chunks_per_partition: usize) -> ChunkAssignment {
+pub fn allocate_full(
+    covered: impl IntoIterator<Item = bool>,
+    k: usize,
+    chunks_per_partition: usize,
+) -> ChunkAssignment {
     ChunkAssignment {
-        chunks: (0..n)
-            .map(|_| (0..chunks_per_partition).collect())
+        chunks: covered
+            .into_iter()
+            .map(|c| {
+                if c {
+                    (0..chunks_per_partition).collect()
+                } else {
+                    Vec::new()
+                }
+            })
             .collect(),
         chunks_per_partition,
         k,
+    }
+}
+
+/// §4.4's robustness rule, written once: an infeasible plan degrades to
+/// [`allocate_full`] over `covered` (the master then takes the fastest
+/// `k` per chunk) instead of failing. Returns the assignment and whether
+/// it degraded; `covered` is consumed only on the fallback.
+#[must_use]
+pub fn plan_or_full(
+    plan: Result<ChunkAssignment, S2c2Error>,
+    covered: impl IntoIterator<Item = bool>,
+    k: usize,
+    chunks_per_partition: usize,
+) -> (ChunkAssignment, bool) {
+    match plan {
+        Ok(assignment) => (assignment, false),
+        Err(_) => (allocate_full(covered, k, chunks_per_partition), true),
     }
 }
 
@@ -528,13 +531,33 @@ mod tests {
 
     #[test]
     fn allocate_full_covers_everything_n_times() {
-        let a = allocate_full(5, 3, 4);
+        let a = allocate_full([true; 5], 3, 4);
         assert_eq!(a.coverage(), vec![5; 4]);
         assert!(
             !a.is_decodable() || 5 == 3,
             "full allocation over-covers (by design)"
         );
         assert_eq!(a.total_slots(), 20);
+    }
+
+    #[test]
+    fn allocate_full_skips_uncovered_workers() {
+        let a = allocate_full([1.0, 0.0, 0.5].map(|s| s > 0.0), 2, 3);
+        assert_eq!(a.chunks, vec![vec![0, 1, 2], vec![], vec![0, 1, 2]]);
+        // Over-covered (2 covered >= k = 2 per chunk).
+        assert!(a.coverage().iter().all(|&c| c >= 2));
+    }
+
+    #[test]
+    fn infeasible_plan_falls_back_to_full_over_covered() {
+        let speeds = [1.0, 0.0, 0.5];
+        let covered = || speeds.map(|s| s > 0.0);
+        let (a, degraded) = plan_or_full(allocate_chunks(&speeds, 3, 2), covered(), 3, 2);
+        assert!(degraded);
+        assert_eq!(a, allocate_full(covered(), 3, 2));
+        let (a, degraded) = plan_or_full(allocate_chunks(&speeds, 2, 2), covered(), 2, 2);
+        assert!(!degraded);
+        assert_eq!(a, allocate_chunks(&speeds, 2, 2).unwrap());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! Layout:
 //!
 //! * [`alloc`] — Algorithm 1 (proportional chunk allocation with exact-`k`
-//!   coverage) plus the basic-mode and conventional assignments.
+//!   coverage), the basic-mode and conventional assignments, and §4.4's
+//!   fallback ([`plan_or_full`]) every planner goes through.
 //! * [`speed_tracker`] — §6.2's measure→predict loop over the
 //!   `s2c2-predict` models, including the oracle and uniform degenerates.
 //! * [`strategy`] — every scheduling strategy the paper compares, all
@@ -29,7 +30,7 @@ pub mod storage_model;
 pub mod strategy;
 
 pub use alloc::{
-    allocate_chunks, allocate_chunks_basic, allocate_full, normalized_shares,
+    allocate_chunks, allocate_chunks_basic, allocate_full, normalized_shares, plan_or_full,
     split_worker_capacity, ChunkAssignment,
 };
 pub use error::S2c2Error;

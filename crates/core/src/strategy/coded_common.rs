@@ -358,7 +358,7 @@ mod tests {
         // 12 workers, k=10, 1 straggler: conventional MDS waits for the
         // fastest 10; the straggler and one healthy worker are wasted.
         let (code, enc, sim, a, x) = setup(12, 10, 4, &[5]);
-        let assignment = allocate_full(12, 10, 4);
+        let assignment = allocate_full([true; 12], 10, 4);
         let cfg = CodedRoundConfig {
             timeout_margin: 0.15,
             reassign: false,
@@ -459,7 +459,7 @@ mod tests {
     #[test]
     fn observed_speeds_reflect_stragglers() {
         let (code, enc, sim, _a, x) = setup(12, 10, 4, &[3]);
-        let assignment = allocate_full(12, 10, 4);
+        let assignment = allocate_full([true; 12], 10, 4);
         let cfg = CodedRoundConfig {
             timeout_margin: 0.15,
             reassign: false,
@@ -495,7 +495,7 @@ mod tests {
         // Straggling systematic worker 0 forces a parity-based decode,
         // so master-side decode work is nonzero.
         let (code, enc, sim, _a, x) = setup(6, 4, 4, &[0]);
-        let assignment = allocate_full(6, 4, 4);
+        let assignment = allocate_full([true; 6], 4, 4);
         let cfg = CodedRoundConfig {
             timeout_margin: 0.15,
             reassign: false,

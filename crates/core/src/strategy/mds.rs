@@ -59,7 +59,8 @@ impl MatvecStrategy for MdsStrategy {
     ) -> Result<IterationOutcome, S2c2Error> {
         sim.begin_iteration(iteration);
         let p = self.code.params();
-        let assignment = allocate_full(p.n, p.k, self.enc.layout().chunks_per_partition);
+        let assignment =
+            allocate_full(vec![true; p.n], p.k, self.enc.layout().chunks_per_partition);
         let cfg = CodedRoundConfig {
             timeout_margin: 0.15,
             reassign: false, // conventional coded computing never reassigns

@@ -15,7 +15,7 @@
 //! pass is *not* reduced by S²C² (every node scales its full `B̃_i`), which
 //! is why measured gains (19%) sit below the ideal `(n − ab)/ab`.
 
-use crate::alloc::{allocate_chunks_with_fixed_cost, allocate_full, ChunkAssignment};
+use crate::alloc::{allocate_chunks_with_fixed_cost, allocate_full, plan_or_full, ChunkAssignment};
 use crate::error::S2c2Error;
 use crate::speed_tracker::{PredictorSource, SpeedTracker};
 use s2c2_cluster::metrics::RoundMetrics;
@@ -331,7 +331,7 @@ impl BilinearStrategy for PolyConventional {
         sim.begin_iteration(iteration);
         let p = self.shared.code.params();
         let assignment = allocate_full(
-            p.n,
+            vec![true; p.n],
             p.recovery_threshold(),
             self.shared.enc.layout().row.chunks_per_partition,
         );
@@ -407,9 +407,9 @@ impl BilinearStrategy for PolyS2c2 {
         let pcol = layout.cols_per_partition() as f64;
         let fixed = m * pcol;
         let unit = layout.row.rows_per_chunk() as f64 * m * pcol;
-        let assignment =
-            allocate_chunks_with_fixed_cost(&preds, p.recovery_threshold(), c, fixed, unit)
-                .unwrap_or_else(|_| allocate_full(p.n, p.recovery_threshold(), c));
+        let k = p.recovery_threshold();
+        let plan = allocate_chunks_with_fixed_cost(&preds, k, c, fixed, unit);
+        let (assignment, _) = plan_or_full(plan, vec![true; p.n], k, c);
         // Cold-start margin widening: see S2c2Strategy::run_iteration.
         let margin = if self.rounds == 0 {
             self.timeout_margin.max(0.35)

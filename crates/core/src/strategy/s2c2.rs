@@ -19,7 +19,7 @@
 //! cannot rebuild coverage, the round degrades to conventional coded
 //! computing — correctness never depends on prediction quality.
 
-use crate::alloc::{allocate_chunks, allocate_chunks_basic, allocate_full, ChunkAssignment};
+use crate::alloc::{allocate_chunks, allocate_chunks_basic, plan_or_full, ChunkAssignment};
 use crate::error::S2c2Error;
 use crate::speed_tracker::{PredictorSource, SpeedTracker};
 use crate::strategy::coded_common::{run_coded_round, CodedRoundConfig};
@@ -140,10 +140,9 @@ impl S2c2Strategy {
                 allocate_chunks_basic(&available, p.k, c)
             }
         };
-        // §4.4 fallback: an unschedulable prediction state (fewer than k
-        // workers believed alive) degrades to conventional coded computing
-        // rather than failing.
-        attempt.unwrap_or_else(|_| allocate_full(p.n, p.k, c))
+        // §4.4 fallback over the whole pool: an unschedulable prediction
+        // state degrades to conventional coded computing.
+        plan_or_full(attempt, vec![true; p.n], p.k, c).0
     }
 }
 

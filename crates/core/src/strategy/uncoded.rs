@@ -47,7 +47,7 @@ impl MatvecStrategy for UncodedStrategy {
     ) -> Result<IterationOutcome, S2c2Error> {
         sim.begin_iteration(iteration);
         let n = self.code.params().n;
-        let assignment = allocate_full(n, n, self.enc.layout().chunks_per_partition);
+        let assignment = allocate_full(vec![true; n], n, self.enc.layout().chunks_per_partition);
         let cfg = CodedRoundConfig {
             timeout_margin: 0.15,
             reassign: false, // plain uncoded has no recovery mechanism

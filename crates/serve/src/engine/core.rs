@@ -21,17 +21,13 @@
 //! [`RunningIteration::done_results`]).
 
 use super::backend::ExecutionBackend;
-use super::{trace_into, ServeError, ServiceEngine};
+use super::{record_rung, thread_speedup, trace_into, ServeError, ServiceEngine};
 use crate::admission::{batch_key, BatchKey, BatchPolicy, QueuedJob, ResidentInfo};
 use crate::event::{EventKind, JobId};
 use crate::metrics::JobRecord;
-use crate::shared_alloc::{allocate_for_resident, full_over_available};
 use crate::workload::JobSpec;
-use s2c2_core::{allocate_chunks_basic, ChunkAssignment};
+use s2c2_core::ChunkAssignment;
 use s2c2_telemetry::{Telemetry, TraceEventKind};
-
-use super::thread_speedup;
-use super::SchedulerMode;
 
 /// Where one task stands in the §4.3 lifecycle: dispatched, then either
 /// completed or cancelled.
@@ -616,7 +612,7 @@ impl ServiceEngine {
                 continue;
             }
             let id = members[0].spec.id;
-            let (k_eff, c_eff, _) = self.effective_shape(&members[0].spec);
+            let (k_eff, c_eff, _) = self.cfg.scheduler.shape(&members[0].spec, self.n());
             // One shared encode serves the whole batch; every member
             // after the first is a cache hit by construction.
             for m in &members {
@@ -686,24 +682,6 @@ impl ServiceEngine {
         self.now + min_service > queued.absolute_deadline()
     }
 
-    /// Effective `(k, chunks, rows_per_chunk)` of a job under the current
-    /// scheduling mode. Uncoded jobs run as `k = 1` over a finer split
-    /// (each chunk computed by exactly one worker — even-split,
-    /// wait-for-all).
-    pub(crate) fn effective_shape(&self, spec: &JobSpec) -> (usize, usize, usize) {
-        match self.cfg.scheduler {
-            SchedulerMode::Uncoded => {
-                let c = spec.chunks_per_partition * self.n();
-                (1, c, spec.rows.div_ceil(c))
-            }
-            SchedulerMode::ConventionalMds | SchedulerMode::SharedS2c2 { .. } => {
-                let c = spec.chunks_per_partition;
-                let partition_rows = spec.rows.div_ceil(spec.k);
-                (spec.k, c, partition_rows.div_ceil(c))
-            }
-        }
-    }
-
     /// Dispatches fresh rounds for `id` until its in-flight window is
     /// full (the pipeline depth), a round stalls on capacity, or the
     /// job runs out of iterations. At depth 1 this is exactly the
@@ -753,7 +731,7 @@ impl ServiceEngine {
         let alive = avail.iter().filter(|&&s| s > 0.0).count();
         let spec = self.resident[&id].leader().clone();
         let rhs = self.resident[&id].rhs();
-        let (k_eff, c_eff, rpc) = self.effective_shape(&spec);
+        let (k_eff, c_eff, rpc) = self.cfg.scheduler.shape(&spec, self.n());
 
         if alive < k_eff {
             // s2c2-allow: no-panic-paths -- engine invariant: round dispatches are only scheduled for ids the event loop keeps resident
@@ -765,72 +743,27 @@ impl ServiceEngine {
             return Ok(());
         }
 
-        // Planning speeds and per-job assignment. Every mode rates the
-        // job at its weight-normalized share of the live resident mass —
-        // the same `weight / Σ weights` rule `split_worker_capacity`
-        // slices capacity by. Weights here are *effective* (per-member
-        // deadline boosts included, summed over batch members).
+        // Weights are *effective* (per-member deadline boosts included,
+        // summed over batch members).
         let weight = self.effective_weight(&self.resident[&id]);
-        let total_weight: f64 = self
-            .resident
-            .values()
-            .map(|j| self.effective_weight(j))
-            .sum::<f64>()
-            .max(f64::MIN_POSITIVE);
-        let weighted_share = (weight / total_weight).min(1.0);
-        let (assignment, share, degraded, plan_speeds) = match &self.cfg.scheduler {
-            SchedulerMode::Uncoded => {
-                let mask: Vec<bool> = avail.iter().map(|&s| s > 0.0).collect();
-                let a = allocate_chunks_basic(&mask, 1, c_eff)
-                    // s2c2-allow: no-panic-paths -- engine invariant: the alive >= k_eff guard above makes k=1 allocation infallible
-                    .expect("alive >= 1 guarantees feasibility");
-                let uniform: Vec<f64> = avail
-                    .iter()
-                    .map(|&s| if s > 0.0 { 1.0 } else { 0.0 })
-                    .collect();
-                (a, weighted_share, false, uniform)
-            }
-            SchedulerMode::ConventionalMds => {
-                let uniform: Vec<f64> = avail
-                    .iter()
-                    .map(|&s| if s > 0.0 { 1.0 } else { 0.0 })
-                    .collect();
-                (
-                    full_over_available(&avail, k_eff, c_eff),
-                    weighted_share,
-                    false,
-                    uniform,
-                )
-            }
-            SchedulerMode::SharedS2c2 { .. } => {
-                let preds: Vec<f64> = self
-                    .tracker
-                    .predictions_from(&avail)
-                    .iter()
-                    .zip(self.up.iter())
-                    .map(|(&p, &u)| if u { p.max(0.0) } else { 0.0 })
-                    .collect();
-                // Weighted capacity split across the resident set; only
-                // this job's slice is needed (neighbours are rescaled by
-                // `rebalance_shares` when membership changes).
-                let mine = allocate_for_resident(&preds, k_eff, c_eff, weight, total_weight);
-                (mine.assignment, mine.share, mine.degraded, preds)
-            }
+        let total_weight = self.resident_weight().max(f64::MIN_POSITIVE);
+        let predicted = || -> Vec<f64> {
+            self.tracker
+                .predictions_from(&avail)
+                .iter()
+                .zip(self.up.iter())
+                .map(|(&p, &u)| if u { p.max(0.0) } else { 0.0 })
+                .collect()
         };
-
-        if degraded {
-            self.report.degraded_iterations += 1;
-        }
+        let (plan, plan_speeds) =
+            self.cfg
+                .scheduler
+                .plan_round(&avail, predicted, (k_eff, c_eff), weight, total_weight);
+        let (share, degraded) = (plan.share, plan.degraded);
 
         let n = self.n();
         let generation = self.next_generation;
         self.next_generation += 1;
-        // Rungs 1 and 2 of the recovery ladder are decided right here at
-        // planning time: a predict-feasible start is rung 1, a degraded
-        // (reduced-redundancy) start is rung 2. Rungs 3-5 are counted at
-        // their trigger points in `super::recovery`.
-        let rung: u8 = if degraded { 2 } else { 1 };
-        self.report.recovery_rung_counts[usize::from(rung - 1)] += 1;
         trace_into(&mut self.telemetry, at, || TraceEventKind::IterationStart {
             job: id,
             iteration: round_index,
@@ -839,11 +772,19 @@ impl ServiceEngine {
             share,
             degraded,
         });
-        trace_into(&mut self.telemetry, at, || TraceEventKind::RecoveryRung {
-            job: id,
+        // Rungs 1 and 2 of the recovery ladder are decided right here at
+        // planning time: a predict-feasible start is rung 1, a degraded
+        // (reduced-redundancy) start is rung 2. Rungs 3-5 are counted at
+        // their trigger points in `super::recovery`.
+        let rung = if degraded { 2 } else { 1 };
+        record_rung(
+            &mut self.report,
+            &mut self.telemetry,
+            at,
+            id,
             generation,
             rung,
-        });
+        );
         // The task records come from the scratch pool when a retired
         // round left some (reset in place — identical to fresh ones).
         let workers = match self.scratch.take(n) {
@@ -860,7 +801,7 @@ impl ServiceEngine {
             k_eff,
             rows_per_chunk: rpc,
             rhs,
-            assignment,
+            assignment: plan.assignment,
             workers,
             parked_at: None,
             waited_out: false,
@@ -944,9 +885,10 @@ impl ServiceEngine {
         // mis-predictions are caught); the non-adaptive baselines never
         // cancel, so their timeout is a pure churn-recovery safety net
         // armed past every scheduled finish.
-        let span = match self.cfg.scheduler {
-            SchedulerMode::SharedS2c2 { .. } => max_planned_span,
-            SchedulerMode::Uncoded | SchedulerMode::ConventionalMds => max_actual_span,
+        let span = if self.cfg.scheduler.adaptive() {
+            max_planned_span
+        } else {
+            max_actual_span
         };
         let deadline = at + (1.0 + self.cfg.timeout_margin) * span;
         self.queue.push(deadline, iter.arm(id, deadline));
@@ -1015,7 +957,7 @@ impl ServiceEngine {
             // estimate by up to `old_share / new_share`. Pipelined
             // rounds additionally subtract the queueing offset the
             // task spent waiting behind earlier window rounds.
-            if !redo && matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. }) {
+            if !redo && self.cfg.scheduler.adaptive() {
                 let dedicated = (iter.dedicated_by(finish) - ded_offset).max(f64::MIN_POSITIVE);
                 // The observed rate covers the whole stacked width the
                 // worker actually computed, so batched and unbatched
@@ -1135,13 +1077,10 @@ impl ServiceEngine {
             self.backend
                 .on_iteration_complete(&specs, &iter, job.iterations_done, is_final)
                 .map_err(ServeError::Backend)?;
-            let decode_time = match self.cfg.scheduler {
-                SchedulerMode::Uncoded => 0.0,
-                SchedulerMode::ConventionalMds | SchedulerMode::SharedS2c2 { .. } => {
-                    let flops = decode_flops(&iter);
-                    flops / self.decode_flops_per_sec
-                }
-            };
+            let decode_time = self
+                .cfg
+                .scheduler
+                .decode_seconds(&iter, self.decode_flops_per_sec);
             let end = at + decode_time;
             // Virtual phase decomposition of the completed round: the span
             // from round dispatch to the last counted reply splits into the
@@ -1247,9 +1186,6 @@ impl ServiceEngine {
                     TraceEventKind::JobFailed { job: jid, tenant }
                 });
             } else {
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.metrics.observe("job_latency", finished - m.arrival);
-                }
                 trace_into(&mut self.telemetry, finished, || {
                     TraceEventKind::JobComplete { job: jid, tenant }
                 });
@@ -1407,38 +1343,4 @@ impl ServiceEngine {
             );
         }
     }
-}
-
-/// Master-side decode cost of a completed iteration (same model as the
-/// single-job engine: per chunk, LU on the missing systematic rows).
-/// For a batch round the LU factorization is shared — every stacked
-/// right-hand side reuses it and pays only the per-column triangular
-/// solves and RHS adjustments. That factor-once term is the decode-side
-/// amortization batching buys.
-pub(crate) fn decode_flops(iter: &RunningIteration) -> f64 {
-    let k = iter.k_eff;
-    let rpc = iter.rows_per_chunk as f64;
-    let rhs = iter.rhs as f64;
-    let mut finishers: Vec<Vec<(f64, usize)>> =
-        vec![Vec::new(); iter.assignment.chunks_per_partition];
-    for (w, _, task, chunks) in iter.done_results() {
-        for &chunk in chunks {
-            if let Some(f) = finishers.get_mut(chunk) {
-                f.push((task.finish, w));
-            }
-        }
-    }
-    let mut flops = 0.0;
-    for mut chunk_finishers in finishers {
-        chunk_finishers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let missing = chunk_finishers
-            .iter()
-            .take(k)
-            .filter(|&&(_, w)| w >= k)
-            .count() as f64;
-        flops += missing.powi(3) / 3.0
-            + rhs * (rpc * missing.powi(2))
-            + rhs * (missing * k as f64 * rpc);
-    }
-    flops
 }

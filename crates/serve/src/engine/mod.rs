@@ -13,6 +13,9 @@
 //! * `core` — resident-job state, the per-round task record, and the
 //!   event handlers (arrival, admission, iteration start/completion,
 //!   churn, epoch ticks);
+//! * `scheme` — the one place that names a [`SchedulerMode`] variant:
+//!   job shape, round plan, adaptivity, decode cost, redo order size.
+//!   A new scheme lands there;
 //! * [`backend`] — the pluggable `ExecutionBackend` seam: timing-only
 //!   simulation, master-side verified numerics, or real OS-thread
 //!   workers (selected via [`BackendKind`]);
@@ -114,7 +117,8 @@
 //!
 //! 1. Predictions feasible → shared-cluster S²C² (exactly-`k` coverage).
 //! 2. Predictions infeasible (< `k` workers believed alive) → that job
-//!    degrades to conventional coded computing over available workers.
+//!    degrades to conventional coded computing over the workers predicted
+//!    alive (core's `plan_or_full`, as on the paper path).
 //! 3. Deadline miss (mis-prediction, churn) → finished workers recompute
 //!    the missing chunks (they already hold the coded partitions — no
 //!    data movement, ever).
@@ -128,11 +132,13 @@ mod core;
 mod pipeline;
 mod rebalance;
 mod recovery;
+mod scheme;
 #[cfg(test)]
 mod tests;
 
 pub use backend::BackendKind;
 pub use pipeline::PipelinePolicy;
+pub use scheme::SchedulerMode;
 
 use crate::admission::{BatchKey, BatchPolicy, QueuePolicy, QueuedJob, RateLimit, TokenBucket};
 use crate::event::{EventKind, EventQueue, JobId};
@@ -141,7 +147,7 @@ use crate::workload::JobSpec;
 use backend::ExecutionBackend;
 use core::ResidentJob;
 use s2c2_cluster::{ChurnProcess, ClusterSpec, CommModel, ComputeModel};
-use s2c2_core::speed_tracker::{PredictorSource, SpeedTracker};
+use s2c2_core::speed_tracker::SpeedTracker;
 use s2c2_telemetry::{Telemetry, TraceEvent, TraceEventKind, TraceSink};
 use s2c2_trace::BoxedSpeedModel;
 use std::collections::BTreeMap;
@@ -163,37 +169,30 @@ pub(crate) fn trace_into(
     }
 }
 
-/// How the engine schedules coded work onto the pool.
-pub enum SchedulerMode {
-    /// Even uncoded split over available workers; every task must finish.
-    Uncoded,
-    /// Conventional `(n, k)` MDS: every available worker computes its full
-    /// partition; the master takes the fastest `k` per chunk.
-    ConventionalMds,
-    /// Shared-cluster S²C²: capacity split across resident jobs, Algorithm
-    /// 1 per job on predicted speeds, timeout-and-reassign on mis-
-    /// prediction.
-    SharedS2c2 {
-        /// Where next-iteration speed estimates come from.
-        predictor: PredictorSource,
-    },
-}
-
-impl std::fmt::Display for SchedulerMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            SchedulerMode::Uncoded => "uncoded",
-            SchedulerMode::ConventionalMds => "mds",
-            SchedulerMode::SharedS2c2 { .. } => "s2c2",
-        };
-        f.write_str(s)
+/// Counts one recovery-ladder transition (`rung` in `1..=5`) into the
+/// report — the degraded rungs 2 and 4 also into
+/// [`ServiceReport::degraded_iterations`] — and records its
+/// `RecoveryRung` trace event. Every transition goes through here, so
+/// the report's counts and the trace cannot diverge;
+/// [`s2c2_telemetry::TraceBuffer::rung_counts`] recounts the trace
+/// independently as the cross-check.
+pub(crate) fn record_rung(
+    report: &mut ServiceReport,
+    telemetry: &mut Option<Telemetry>,
+    time: f64,
+    job: JobId,
+    generation: u64,
+    rung: u8,
+) {
+    report.recovery_rung_counts[usize::from(rung - 1)] += 1;
+    if rung == 2 || rung == 4 {
+        report.degraded_iterations += 1;
     }
-}
-
-impl std::fmt::Debug for SchedulerMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SchedulerMode::{self}")
-    }
+    trace_into(telemetry, time, || TraceEventKind::RecoveryRung {
+        job,
+        generation,
+        rung,
+    });
 }
 
 /// Worker churn parameters (see [`ChurnProcess`]).
@@ -503,17 +502,13 @@ impl ServiceEngine {
             }
             None => ChurnProcess::none(n),
         };
-        let predictor = match &cfg.scheduler {
-            SchedulerMode::SharedS2c2 { predictor } => predictor.clone(),
-            SchedulerMode::Uncoded | SchedulerMode::ConventionalMds => PredictorSource::Uniform,
-        };
         let buckets = cfg
             .tenant_rate_limits
             .iter()
             .map(|(&tenant, &limit)| (tenant, TokenBucket::new(limit)))
             .collect();
         Ok(ServiceEngine {
-            tracker: SpeedTracker::new(&predictor, n),
+            tracker: SpeedTracker::new(&cfg.scheduler.predictor(), n),
             backend: backend::make_backend(cfg.backend, n),
             telemetry: cfg.telemetry.then(Telemetry::new),
             cfg,
@@ -579,48 +574,8 @@ impl ServiceEngine {
                 resident: self.resident.len(),
             });
         }
-        self.finalize_telemetry();
+        self.report.telemetry = self.telemetry.take();
         Ok(self.report)
-    }
-
-    /// Rolls run-level summary counters and gauges into the metrics
-    /// registry and hands the whole telemetry bundle to the report.
-    fn finalize_telemetry(&mut self) {
-        let Some(mut tel) = self.telemetry.take() else {
-            return;
-        };
-        let trace_events = tel.trace.len() as u64;
-        let m = &mut tel.metrics;
-        m.inc_by("events_processed", self.report.events_processed);
-        m.inc_by("trace_events", trace_events);
-        m.inc_by("jobs_completed", self.report.completed() as u64);
-        m.inc_by("jobs_failed", self.report.failed() as u64);
-        m.inc_by("jobs_rejected", self.report.rejected() as u64);
-        m.inc_by("jobs_rate_limited", self.report.rate_limited() as u64);
-        m.inc_by("timeouts", self.report.timeouts as u64);
-        m.inc_by(
-            "degraded_iterations",
-            self.report.degraded_iterations as u64,
-        );
-        m.inc_by("rebalances", self.report.rebalances as u64);
-        m.inc_by("batch_rounds", self.report.batch_rounds as u64);
-        m.inc_by("rounds_parked", self.report.rounds_parked);
-        m.inc_by("scratch_reuses", self.report.scratch_reuses);
-        const RUNGS: [&str; 5] = [
-            "rung_1_normal",
-            "rung_2_degraded",
-            "rung_3_redo",
-            "rung_4_wait_out",
-            "rung_5_restart",
-        ];
-        for (name, &count) in RUNGS.iter().zip(self.report.recovery_rung_counts.iter()) {
-            m.inc_by(name, count);
-        }
-        m.set_gauge("makespan", self.report.makespan);
-        m.set_gauge("utilization", self.report.utilization());
-        m.set_gauge("throughput", self.report.throughput());
-        m.set_gauge("pipeline_stall_seconds", self.report.pipeline_stall_time);
-        self.report.telemetry = Some(tel);
     }
 
     /// The event loop proper: seeds arrivals and epoch ticks, then pops
@@ -696,8 +651,6 @@ impl ServiceEngine {
         self.report.queue_depth.push((self.now, self.pending.len()));
         let in_flight: usize = self.resident.values().map(|j| j.window.len()).sum();
         if let Some(tel) = self.telemetry.as_mut() {
-            tel.metrics
-                .sample("queue_depth", self.now, self.pending.len() as f64);
             tel.metrics
                 .sample("resident_jobs", self.now, self.resident.len() as f64);
             tel.metrics

@@ -36,6 +36,15 @@ impl ServiceEngine {
         job.members.iter().map(|m| self.member_weight(m)).sum()
     }
 
+    /// The live resident set's effective weight mass, which every share
+    /// is normalized by.
+    pub(crate) fn resident_weight(&self) -> f64 {
+        self.resident
+            .values()
+            .map(|j| self.effective_weight(j))
+            .sum()
+    }
+
     /// Flags resident members whose remaining SLO slack has dropped
     /// below the configured threshold fraction. Returns whether any
     /// member's boost state changed (the caller then rescales shares).
@@ -88,11 +97,7 @@ impl ServiceEngine {
     /// `(finish − now) · share` is preserved exactly by the rescale.
     pub(crate) fn rebalance_shares(&mut self) {
         self.update_deadline_boosts();
-        let total: f64 = self
-            .resident
-            .values()
-            .map(|j| self.effective_weight(j))
-            .sum();
+        let total = self.resident_weight();
         if total <= 0.0 {
             return;
         }

@@ -15,7 +15,7 @@
 //! hook) and dispatches the same redo work the timing model schedules.
 
 use super::core::{CancelSink, RunningIteration, TaskKind, TaskState};
-use super::{thread_speedup, trace_into, SchedulerMode, ServeError, ServiceEngine};
+use super::{record_rung, thread_speedup, trace_into, ServeError, ServiceEngine};
 use crate::event::{EventKind, JobId};
 use s2c2_telemetry::TraceEventKind;
 
@@ -31,7 +31,7 @@ impl ServiceEngine {
     ) -> Result<(), ServeError> {
         let now = self.now;
         let speedup = thread_speedup(self.cfg.worker_threads);
-        let cancel_late = matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. });
+        let cancel_late = self.cfg.scheduler.adaptive();
         let margin = self.cfg.timeout_margin;
         let elements_per_sec = self.compute.elements_per_sec;
         let comm = self.comm;
@@ -191,12 +191,14 @@ impl ServiceEngine {
             }
             // Rung 3 of the ladder: chunks actually move to finished
             // workers this recovery pass.
-            self.report.recovery_rung_counts[2] += 1;
-            trace_into(&mut self.telemetry, now, || TraceEventKind::RecoveryRung {
-                job: id,
+            record_rung(
+                &mut self.report,
+                &mut self.telemetry,
+                now,
+                id,
                 generation,
-                rung: 3,
-            });
+                3,
+            );
             let mut latest_redo = now;
             for (w, new_chunks) in extra.into_iter().enumerate() {
                 if new_chunks.is_empty() {
@@ -219,14 +221,7 @@ impl ServiceEngine {
                 let rows_w = new_chunks.len() * rpc;
                 let work = ((rows_w * cols) * rhs) as f64;
                 let rate = speeds[w] * share * elements_per_sec * speedup;
-                // Coded hosts already hold the partitions, so the work
-                // order is a 64-byte control message; uncoded hosts must
-                // first receive the raw rows being reassigned.
-                let order_bytes = if matches!(self.cfg.scheduler, SchedulerMode::Uncoded) {
-                    64 + ((rows_w * cols) * rhs * 8) as u64
-                } else {
-                    64
-                };
+                let order_bytes = self.cfg.scheduler.redo_order_bytes(rows_w, cols, rhs);
                 let finish = base
                     + comm.transfer_time(order_bytes)
                     + work / rate
@@ -269,16 +264,17 @@ impl ServiceEngine {
         if has_inflight {
             if !iter.waited_out {
                 iter.waited_out = true;
-                self.report.degraded_iterations += 1;
                 // Rung 4: no spare finished workers — conventional
                 // wait-out. Counted once per iteration (the flag), not
                 // once per re-armed deadline.
-                self.report.recovery_rung_counts[3] += 1;
-                trace_into(&mut self.telemetry, now, || TraceEventKind::RecoveryRung {
-                    job: id,
+                record_rung(
+                    &mut self.report,
+                    &mut self.telemetry,
+                    now,
+                    id,
                     generation,
-                    rung: 4,
-                });
+                    4,
+                );
             }
             let deadline = reschedule_after_inflight(iter);
             self.queue.push(deadline, iter.arm(id, deadline));
@@ -288,12 +284,14 @@ impl ServiceEngine {
         // Rung 5: churn storm took everyone — restart this round. Later
         // window rounds keep running: their completions park behind the
         // commit cursor until the restarted round retires.
-        self.report.recovery_rung_counts[4] += 1;
-        trace_into(&mut self.telemetry, now, || TraceEventKind::RecoveryRung {
-            job: id,
+        record_rung(
+            &mut self.report,
+            &mut self.telemetry,
+            now,
+            id,
             generation,
-            rung: 5,
-        });
+            5,
+        );
         let failed_round = job.window.remove(pos);
         let round_index = failed_round.round_index;
         self.scratch.reclaim(failed_round);

@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::workload::{generate_workload, ArrivalPattern, JobPreset};
+use s2c2_core::speed_tracker::PredictorSource;
 
 fn pool(n: usize, stragglers: &[usize]) -> ClusterSpec {
     ClusterSpec::builder(n)

@@ -19,7 +19,7 @@
 //!   samples past makespan are ignored rather than diluting the mean.
 
 use crate::event::JobId;
-use s2c2_telemetry::{PhaseTotals, StreamingHistogram, Telemetry};
+use s2c2_telemetry::{PhaseTotals, Telemetry};
 
 /// Nearest-rank percentile of an ascending-sorted slice.
 ///
@@ -158,7 +158,8 @@ pub struct ServiceReport {
     pub makespan: f64,
     /// Valid §4.3-style timeout firings (mis-prediction / churn recovery).
     pub timeouts: usize,
-    /// Iterations that degraded to conventional full assignment.
+    /// Iterations that degraded to conventional semantics: degraded
+    /// starts (rung 2) plus wait-outs (rung 4), counted with them.
     pub degraded_iterations: usize,
     /// Share rebalances applied when the resident set changed
     /// mid-iteration (the work-conserving path).
@@ -288,9 +289,12 @@ impl ServiceReport {
     /// Ascending-sorted sojourn latencies of completed jobs.
     #[must_use]
     pub fn latencies(&self) -> Vec<f64> {
-        let mut l: Vec<f64> = self
-            .jobs
-            .iter()
+        Self::latencies_of(self.jobs.iter())
+    }
+
+    fn latencies_of<'a>(jobs: impl IntoIterator<Item = &'a JobRecord>) -> Vec<f64> {
+        let mut l: Vec<f64> = jobs
+            .into_iter()
             .filter(|j| !j.failed)
             .map(JobRecord::latency)
             .collect();
@@ -298,31 +302,11 @@ impl ServiceReport {
         l
     }
 
-    /// Exact-mode streaming histogram over completed-job sojourn
-    /// latencies: single pass, no sort, and nearest-rank percentiles
-    /// that are bit-identical to the sorted-vector path.
-    #[must_use]
-    pub fn latency_histogram(&self) -> StreamingHistogram {
-        Self::latency_histogram_of(self.jobs.iter())
-    }
-
-    fn latency_histogram_of<'a>(
-        jobs: impl IntoIterator<Item = &'a JobRecord>,
-    ) -> StreamingHistogram {
-        let mut h = StreamingHistogram::exact();
-        for j in jobs {
-            if !j.failed {
-                h.record(j.latency());
-            }
-        }
-        h
-    }
-
-    /// Sojourn-latency percentile (`p` in `[0, 100]`) over completed
-    /// jobs, streamed through the exact histogram.
+    /// Nearest-rank sojourn-latency [`percentile`] (`p` in `[0, 100]`)
+    /// over completed jobs.
     #[must_use]
     pub fn latency_percentile(&self, p: f64) -> f64 {
-        self.latency_histogram().percentile(p)
+        percentile(&self.latencies(), p)
     }
 
     /// Mean sojourn latency over completed jobs.
@@ -461,7 +445,7 @@ impl ServiceReport {
             .map(|tenant| {
                 let mine: Vec<&JobRecord> =
                     self.jobs.iter().filter(|j| j.tenant == tenant).collect();
-                let lat = Self::latency_histogram_of(mine.iter().copied());
+                let lat = Self::latencies_of(mine.iter().copied());
                 let weight_mass: f64 = mine.iter().map(|j| j.weight).sum();
                 let done_work: f64 = censored_work(tenant);
                 TenantSummary {
@@ -471,8 +455,8 @@ impl ServiceReport {
                     rejected: mine.iter().filter(|j| j.rejected).count(),
                     rate_limited: mine.iter().filter(|j| j.rate_limited).count(),
                     on_time_ratio: Self::on_time_ratio_of(mine.iter().copied()),
-                    p50_latency: lat.percentile(50.0),
-                    p99_latency: lat.percentile(99.0),
+                    p50_latency: percentile(&lat, 50.0),
+                    p99_latency: percentile(&lat, 99.0),
                     entitled_share: if total_weight > 0.0 {
                         weight_mass / total_weight
                     } else {
@@ -536,31 +520,6 @@ mod tests {
         let v = vec![1.5, 2.5, 9.0];
         assert_eq!(percentile(&v, 0.0), 1.5);
         assert_eq!(percentile(&v, 100.0), 9.0);
-    }
-
-    #[test]
-    fn latency_percentiles_stream_bit_identically_to_the_sorted_path() {
-        // The streaming-histogram path must reproduce the legacy
-        // sort-the-whole-vector nearest-rank result bit-for-bit — the
-        // full-scale qos/e2e figures are pinned on it.
-        let mut jobs = Vec::new();
-        for i in 0..57u32 {
-            let latency = f64::from(i % 13).mul_add(0.731, 0.01) * f64::from(1 + i / 17);
-            jobs.push(record(JobId::from(i), 0.0, 0.0, latency, i % 9 == 5));
-        }
-        let report = ServiceReport {
-            jobs,
-            ..ServiceReport::default()
-        };
-        let sorted = report.latencies();
-        for p in [0.0, 1.0, 50.0, 73.0, 99.0, 100.0] {
-            assert_eq!(
-                report.latency_percentile(p).to_bits(),
-                percentile(&sorted, p).to_bits(),
-                "p = {p}"
-            );
-        }
-        assert_eq!(report.latency_histogram().count() as usize, sorted.len());
     }
 
     #[test]

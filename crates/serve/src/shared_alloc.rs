@@ -12,11 +12,12 @@
 //!
 //! When a job's slice cannot support `k`-coverage (predictions claim
 //! fewer than `k` workers alive), that job — and only that job — degrades
-//! to conventional coded computing: every available worker computes its
-//! full partition and the master takes the fastest `k` per chunk (§4.4's
-//! robustness rule, applied per job).
+//! through core's [`s2c2_core::plan_or_full`] (§4.4's rule, shared with
+//! the paper path): every worker with a positive *predicted* speed
+//! computes its full partition and the master takes the fastest `k` per
+//! chunk. The engine reaches this allocator through its scheme module.
 
-use s2c2_core::{allocate_chunks, split_worker_capacity, ChunkAssignment};
+use s2c2_core::{allocate_chunks, plan_or_full, split_worker_capacity, ChunkAssignment};
 
 /// One job's slice of the shared allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,32 +29,6 @@ pub struct SharedAssignment {
     /// Whether the job degraded to conventional full assignment because
     /// its predicted slice could not support exactly-`k` coverage.
     pub degraded: bool,
-}
-
-/// Conventional coded computing's assignment restricted to available
-/// workers: every worker with positive speed computes its whole
-/// partition. Coverage is `available ≥ k` per chunk (over-provisioned on
-/// purpose — the master takes the fastest `k`).
-#[must_use]
-pub fn full_over_available(
-    speeds: &[f64],
-    k: usize,
-    chunks_per_partition: usize,
-) -> ChunkAssignment {
-    ChunkAssignment {
-        chunks: speeds
-            .iter()
-            .map(|&s| {
-                if s > 0.0 {
-                    (0..chunks_per_partition).collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect(),
-        chunks_per_partition,
-        k,
-    }
 }
 
 /// One job's weighted slice of the shared allocation: Algorithm 1 on
@@ -100,17 +75,16 @@ pub fn allocate_for_resident(
         // Sole resident: the whole pool.
         (1.0, speeds.to_vec())
     };
-    match allocate_chunks(&slice, k, chunks_per_partition) {
-        Ok(assignment) => SharedAssignment {
-            assignment,
-            share,
-            degraded: false,
-        },
-        Err(_) => SharedAssignment {
-            assignment: full_over_available(speeds, k, chunks_per_partition),
-            share,
-            degraded: true,
-        },
+    let (assignment, degraded) = plan_or_full(
+        allocate_chunks(&slice, k, chunks_per_partition),
+        speeds.iter().map(|&s| s > 0.0),
+        k,
+        chunks_per_partition,
+    );
+    SharedAssignment {
+        assignment,
+        share,
+        degraded,
     }
 }
 
@@ -189,7 +163,8 @@ mod tests {
         // alive workers.
         let degraded = allocate_for_resident(&speeds, 5, 6, 1.0, 2.0);
         assert!(degraded.degraded);
-        assert_eq!(degraded.assignment, full_over_available(&speeds, 5, 6));
+        let alive = speeds.map(|s| s > 0.0);
+        assert_eq!(degraded.assignment, s2c2_core::allocate_full(alive, 5, 6));
     }
 
     #[test]
@@ -211,15 +186,5 @@ mod tests {
         // Sole resident gets the full pool regardless of weight.
         let solo = allocate_for_resident(&speeds, 2, 6, 3.0, 3.0);
         assert!((solo.share - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn full_over_available_skips_dead_workers() {
-        let a = full_over_available(&[1.0, 0.0, 0.5], 2, 3);
-        assert_eq!(a.chunks[0].len(), 3);
-        assert_eq!(a.chunks[1].len(), 0);
-        assert_eq!(a.chunks[2].len(), 3);
-        // Over-covered (2 alive ≥ k = 2 per chunk).
-        assert!(a.coverage().iter().all(|&c| c >= 2));
     }
 }

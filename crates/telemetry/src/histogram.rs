@@ -7,16 +7,11 @@
 //! width — a relative-error guarantee of `2^-sub_bits` per bucket —
 //! while insertion stays `O(log buckets)` in a sparse `BTreeMap`.
 //!
-//! Two operating points matter here:
-//!
-//! * [`StreamingHistogram::coarse`] (7 mantissa bits, <1% relative
-//!   error) for registry metrics, where compactness wins;
-//! * [`StreamingHistogram::exact`] (all 52 mantissa bits — every
-//!   distinct bit pattern its own bucket), whose nearest-rank
-//!   [`percentile`](StreamingHistogram::percentile) returns the *exact
-//!   sample values* the old sort-the-whole-vector path returned. This is
-//!   what lets `ServiceReport` percentiles stream instead of sort
-//!   without moving a single pinned figure.
+//! The registry uses [`StreamingHistogram::coarse`] (7 mantissa bits,
+//! <1% relative error), where compactness wins. At all 52 bits every
+//! distinct bit pattern is its own bucket and nearest-rank percentiles
+//! are exact samples; exact report percentiles sort instead
+//! (`s2c2_serve::percentile`).
 
 use std::collections::BTreeMap;
 
@@ -83,14 +78,6 @@ impl StreamingHistogram {
     #[must_use]
     pub fn coarse() -> Self {
         Self::with_sub_bits(7)
-    }
-
-    /// Exact mode: every distinct `f64` bit pattern is its own bucket,
-    /// so percentiles reproduce the nearest-rank-over-sorted-vector
-    /// result bit-for-bit.
-    #[must_use]
-    pub fn exact() -> Self {
-        Self::with_sub_bits(MANTISSA_BITS)
     }
 
     /// Record one sample.
@@ -177,9 +164,9 @@ impl StreamingHistogram {
     }
 
     /// Nearest-rank percentile, `p` in `[0, 100]`; returns `0.0` when
-    /// empty (matching `s2c2_serve::percentile` on an empty slice). In
-    /// exact mode the returned value is a recorded sample, bit-for-bit;
-    /// in coarse modes it is the lower edge of the rank's bucket (within
+    /// empty (matching `s2c2_serve::percentile` on an empty slice). At
+    /// 52 sub-bits the returned value is a recorded sample, bit-for-bit;
+    /// at fewer it is the lower edge of the rank's bucket (within
     /// `2^-sub_bits` relative error of the true sample).
     ///
     /// # Panics
@@ -240,7 +227,7 @@ mod tests {
     #[test]
     fn exact_mode_matches_nearest_rank_bit_for_bit() {
         let vals = samples();
-        let mut h = StreamingHistogram::exact();
+        let mut h = StreamingHistogram::with_sub_bits(MANTISSA_BITS);
         for &x in &vals {
             h.record(x);
         }
@@ -257,7 +244,7 @@ mod tests {
 
     #[test]
     fn empty_percentile_is_zero() {
-        let h = StreamingHistogram::exact();
+        let h = StreamingHistogram::coarse();
         assert_eq!(h.percentile(50.0), 0.0);
         assert_eq!(h.mean(), None);
         assert_eq!(h.min(), None);
@@ -265,7 +252,7 @@ mod tests {
 
     #[test]
     fn single_sample_dominates_every_percentile() {
-        let mut h = StreamingHistogram::exact();
+        let mut h = StreamingHistogram::coarse();
         h.record(42.5);
         for p in [0.0, 50.0, 100.0] {
             assert_eq!(h.percentile(p), 42.5);
@@ -276,7 +263,7 @@ mod tests {
 
     #[test]
     fn p0_and_p100_are_min_and_max_in_exact_mode() {
-        let mut h = StreamingHistogram::exact();
+        let mut h = StreamingHistogram::with_sub_bits(MANTISSA_BITS);
         for x in [3.0, -7.5, 12.0, 0.25] {
             h.record(x);
         }
@@ -308,9 +295,9 @@ mod tests {
     fn merge_equals_single_pass() {
         let vals = samples();
         let (a_half, b_half) = vals.split_at(vals.len() / 2);
-        let mut a = StreamingHistogram::exact();
-        let mut b = StreamingHistogram::exact();
-        let mut whole = StreamingHistogram::exact();
+        let mut a = StreamingHistogram::coarse();
+        let mut b = StreamingHistogram::coarse();
+        let mut whole = StreamingHistogram::coarse();
         for &x in a_half {
             a.record(x);
         }
@@ -327,14 +314,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_percentile_panics() {
-        let h = StreamingHistogram::exact();
+        let h = StreamingHistogram::coarse();
         let _ = h.percentile(100.5);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn non_finite_sample_panics() {
-        let mut h = StreamingHistogram::exact();
+        let mut h = StreamingHistogram::coarse();
         h.record(f64::NAN);
     }
 

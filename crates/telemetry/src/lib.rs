@@ -9,13 +9,11 @@
 //!   [`TraceSink`] trait. The disabled path is zero-cost: emission sites
 //!   take a closure that is never evaluated when tracing is off.
 //! * [`histogram`] — [`StreamingHistogram`], a log-bucketed streaming
-//!   histogram over `f64` samples. Its *exact* mode (one bucket per
-//!   distinct bit pattern) reproduces nearest-rank percentiles
-//!   bit-for-bit, so report percentiles can route through it without
-//!   perturbing any pinned figure.
-//! * [`registry`] — [`MetricsRegistry`]: named counters, gauges,
-//!   histograms, and time series sampled on engine events (queue depth,
-//!   utilization, resident-set size).
+//!   histogram over `f64` samples with a bounded relative error.
+//! * [`registry`] — [`MetricsRegistry`]: named histograms and time
+//!   series sampled on engine events (iteration spans, job latency,
+//!   queue depth, utilization, resident-set size). Run-level counters
+//!   are not copied here; the serve report is their one home.
 //! * [`phases`] — [`PhaseTotals`]: per-iteration service time split into
 //!   encode / dispatch / compute / collect / decode / verify, kept
 //!   separately for the deterministic virtual clock and for
@@ -46,7 +44,7 @@ pub use registry::{MetricsRegistry, TimeSeries};
 pub struct Telemetry {
     /// Ordered event log (virtual-clock timestamps).
     pub trace: TraceBuffer,
-    /// Named counters, gauges, histograms, and time series.
+    /// Named histograms and time series.
     pub metrics: MetricsRegistry,
 }
 

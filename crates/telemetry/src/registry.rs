@@ -1,5 +1,8 @@
-//! Named metrics: counters, gauges, streaming histograms, and
-//! event-sampled time series.
+//! Named metrics: streaming histograms and event-sampled time series.
+//!
+//! Run-level counts (jobs, timeouts, rung transitions, …) live in one
+//! place only, the serve report; the registry holds what the report
+//! does not: distributions and series over virtual time.
 //!
 //! Keys are `&'static str` and storage is `BTreeMap`, so iteration order
 //! (and any rendering built on it) is deterministic. The registry is
@@ -16,12 +19,6 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// An empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append a sample. Timestamps are expected nondecreasing (engine
     /// virtual time); this is not enforced.
     pub fn push(&mut self, time: f64, value: f64) {
@@ -76,49 +73,14 @@ impl TimeSeries {
     }
 }
 
-/// Registry of named counters, gauges, histograms, and time series.
+/// Registry of named histograms and time series.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, StreamingHistogram>,
     series: BTreeMap<&'static str, TimeSeries>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increment the counter `name` by 1.
-    pub fn inc(&mut self, name: &'static str) {
-        self.inc_by(name, 1);
-    }
-
-    /// Increment the counter `name` by `delta`.
-    pub fn inc_by(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Current value of counter `name` (0 if never touched).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Set the gauge `name` to `value`.
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
-    }
-
-    /// Current value of gauge `name`, if ever set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Record `value` into the (coarse) histogram `name`, creating it on
     /// first use.
     pub fn observe(&mut self, name: &'static str, value: f64) {
@@ -144,11 +106,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn series(&self, name: &str) -> Option<&TimeSeries> {
         self.series.get(name)
-    }
-
-    /// All counters in deterministic (name) order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
     }
 }
 
@@ -176,20 +133,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_round_trip() {
-        let mut m = MetricsRegistry::new();
-        m.inc("jobs");
-        m.inc_by("jobs", 4);
-        m.set_gauge("queue_depth", 3.0);
-        assert_eq!(m.counter("jobs"), 5);
-        assert_eq!(m.counter("never"), 0);
-        assert_eq!(m.gauge("queue_depth"), Some(3.0));
-        assert_eq!(m.gauge("never"), None);
-    }
-
-    #[test]
     fn histograms_accumulate_observations() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         for x in [1.0, 2.0, 3.0] {
             m.observe("latency", x);
         }
@@ -200,7 +145,7 @@ mod tests {
 
     #[test]
     fn series_record_in_order_and_average() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         m.sample("depth", 0.0, 2.0);
         m.sample("depth", 1.0, 4.0);
         let s = m.series("depth").unwrap();
@@ -208,16 +153,7 @@ mod tests {
         assert_eq!(s.last(), Some(4.0));
         // 2.0 holds for 1s, 4.0 for 1s over [0, 2].
         assert_eq!(s.time_weighted_mean(2.0), Some(3.0));
-        assert_eq!(TimeSeries::new().time_weighted_mean(1.0), None);
-    }
-
-    #[test]
-    fn iteration_order_is_name_sorted() {
-        let mut m = MetricsRegistry::new();
-        m.inc("zeta");
-        m.inc("alpha");
-        let names: Vec<_> = m.counters().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
+        assert_eq!(TimeSeries::default().time_weighted_mean(1.0), None);
     }
 
     #[test]

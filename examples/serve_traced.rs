@@ -102,12 +102,23 @@ fn main() {
         .histogram("iteration_span")
         .expect("iteration spans are observed");
     println!(
-        "\nmetrics: {} iteration spans, p50 {:.3}s, p99 {:.3}s; counters:",
+        "\nmetrics: {} iteration spans, p50 {:.3}s, p99 {:.3}s; report counters:",
         spans.count(),
         spans.percentile(50.0),
         spans.percentile(99.0),
     );
-    for (name, value) in tel.metrics.counters() {
+    let r = &traced;
+    for (name, value) in [
+        ("events_processed", r.events_processed),
+        ("jobs_completed", r.completed() as u64),
+        ("jobs_failed", r.failed() as u64),
+        ("timeouts", r.timeouts as u64),
+        ("degraded_iterations", r.degraded_iterations as u64),
+        ("rebalances", r.rebalances as u64),
+        ("batch_rounds", r.batch_rounds as u64),
+        ("rounds_parked", r.rounds_parked),
+        ("scratch_reuses", r.scratch_reuses),
+    ] {
         println!("  {name:<20} {value:>6}");
     }
 
